@@ -32,6 +32,13 @@
 // seed-deterministic: encoding/json sorts map keys, records are stored
 // in their canonical per-country order, and nothing wall-clock is
 // recorded.
+//
+// Files are written with encoding/json but read in a single pass: the
+// envelope is framed byte-for-byte as Put writes it — any other
+// spelling, even valid JSON with a matching checksum, is unparseable
+// and quarantined — the checksum is taken over the body in place, and
+// the body is walked once, its records decoded by internal/jsonrec
+// with strings interned across the whole load.
 package checkpoint
 
 import (
@@ -49,6 +56,7 @@ import (
 	"syscall"
 
 	"repro/internal/dataset"
+	"repro/internal/jsonrec"
 	"repro/internal/metrics"
 )
 
@@ -523,13 +531,15 @@ func syncDir(dir string) error {
 // country re-runs, which is self-healing by construction. Load order
 // does not matter: deltas are additive and cache seeding is a set
 // union. os.ReadDir sorts by filename, so countries arrive in
-// sorted-code order.
+// sorted-code order. One record decoder serves the whole load, so
+// strings repeated across countries are interned once.
 func (s *Store) loadAll() (*LoadResult, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
 	}
 	res := &LoadResult{}
+	dec := jsonrec.NewDecoder(jsonrec.CheckpointKeys)
 	for _, e := range entries {
 		name := e.Name()
 		if name == manifestName || !strings.HasSuffix(name, ".json") {
@@ -539,7 +549,7 @@ func (s *Store) loadAll() (*LoadResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, verr := decodeCountry(raw, name)
+		c, verr := decodeCountry(dec, raw, name)
 		if verr != nil {
 			if err := s.quarantine(name); err != nil {
 				return nil, fmt.Errorf("checkpoint: quarantining %s (%v): %w", name, verr, err)
@@ -552,18 +562,58 @@ func (s *Store) loadAll() (*LoadResult, error) {
 	return res, nil
 }
 
-// decodeCountry verifies and unpacks one stored country file.
-func decodeCountry(raw []byte, name string) (Country, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return Country{}, fmt.Errorf("unparseable: %w", err)
+// The envelope framing exactly as Put writes it: encoding/json emits
+// the two envelope fields in declaration order with no whitespace, and
+// writeAtomic appends one newline.
+const (
+	envHead = `{"sha256":"`
+	envMid  = `","country":`
+	envTail = "}\n"
+	hexLen  = 2 * sha256.Size
+)
+
+// countryKeys are Country's json keys, indexed like the destinations
+// decodeCountry assigns them to.
+var countryKeys = []string{"code", "stats", "methods", "records", "failedHosts", "delta"}
+
+const recordsKey = 3 // countryKeys index of "records"
+
+// decodeCountry verifies and unpacks one stored country file. The
+// envelope must be byte-for-byte what Put writes; anything else is
+// unparseable. The checksum is taken over the body in place, and the
+// body is then walked once: records through dec, the small remaining
+// fields through encoding/json on their own bytes.
+func decodeCountry(dec *jsonrec.Decoder, raw []byte, name string) (Country, error) {
+	n := len(raw)
+	if n < len(envHead)+hexLen+len(envMid)+len(envTail) ||
+		string(raw[:len(envHead)]) != envHead ||
+		string(raw[len(envHead)+hexLen:len(envHead)+hexLen+len(envMid)]) != envMid ||
+		string(raw[n-len(envTail):]) != envTail {
+		return Country{}, errors.New("unparseable: not a country envelope")
 	}
-	sum := sha256.Sum256(env.Country)
-	if env.SHA256 != hex.EncodeToString(sum[:]) {
+	stored := raw[len(envHead) : len(envHead)+hexLen]
+	body := raw[len(envHead)+hexLen+len(envMid) : n-len(envTail)]
+	sum := sha256.Sum256(body)
+	var want [hexLen]byte
+	hex.Encode(want[:], sum[:])
+	if string(stored) != string(want[:]) {
 		return Country{}, errors.New("content checksum mismatch")
 	}
 	var c Country
-	if err := json.Unmarshal(env.Country, &c); err != nil {
+	dst := [...]any{&c.Code, &c.Stats, &c.Methods, nil, &c.FailedHosts, &c.Delta}
+	err := dec.Object(body, countryKeys, func(f int, val []byte) (int, error) {
+		if f == recordsKey {
+			recs, n, err := dec.Records(val)
+			c.Records = recs
+			return n, err
+		}
+		n, err := jsonrec.Skip(val)
+		if err != nil {
+			return 0, err
+		}
+		return n, json.Unmarshal(val[:n], dst[f])
+	})
+	if err != nil {
 		return Country{}, fmt.Errorf("unparseable country: %w", err)
 	}
 	if c.Code == "" || c.Code+".json" != name {

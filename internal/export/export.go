@@ -13,13 +13,14 @@ import (
 	"bufio"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 	"sort"
 	"strconv"
 
 	"repro/internal/dataset"
+	"repro/internal/jsonrec"
 	"repro/internal/world"
 )
 
@@ -82,7 +83,13 @@ func statsToWire(s *dataset.CountryStats) jsonCountryStats {
 	}
 }
 
+// statsFromWire converts a decoded statistics line. An empty failure
+// map reads as nil, since the writer omits it, so every loaded dataset
+// round-trips through WriteJSONL unchanged.
 func statsFromWire(w *jsonCountryStats) *dataset.CountryStats {
+	if len(w.Failures) == 0 {
+		w.Failures = nil
+	}
 	return &dataset.CountryStats{
 		Country: w.Country, Region: world.Region(w.Region),
 		LandingURLs: w.LandingURLs, InternalURLs: w.InternalURLs, Hostnames: w.Hostnames,
@@ -124,26 +131,6 @@ func toWire(r *dataset.URLRecord, kind string) jsonRecord {
 		ServeCountry: r.ServeCountry, GeoMethod: r.GeoMethod,
 		Category: int(r.Category), TopsiteSelf: r.TopsiteSelf, HTTPSValid: r.HTTPSValid, Kind: kind,
 	}
-}
-
-func fromWire(w *jsonRecord) (dataset.URLRecord, error) {
-	var r dataset.URLRecord
-	ip, err := netip.ParseAddr(w.IP)
-	if err != nil {
-		return r, fmt.Errorf("export: record %q: bad IP %q", w.URL, w.IP)
-	}
-	if w.Category < 0 || w.Category >= int(world.NumCategories) {
-		return r, fmt.Errorf("export: record %q: bad category %d", w.URL, w.Category)
-	}
-	r = dataset.URLRecord{
-		URL: w.URL, Host: w.Host, Country: w.Country, Region: world.Region(w.Region),
-		Bytes: w.Bytes, Depth: w.Depth, Method: w.Method,
-		IP: ip, ASN: w.ASN, Org: w.Org, RegCountry: w.RegCountry,
-		GovAS: w.GovAS, Anycast: w.Anycast,
-		ServeCountry: w.ServeCountry, GeoMethod: w.GeoMethod,
-		Category: world.Category(w.Category), TopsiteSelf: w.TopsiteSelf, HTTPSValid: w.HTTPSValid,
-	}
-	return r, nil
 }
 
 // Sink writes a JSONL export incrementally: the header goes out at
@@ -275,74 +262,94 @@ func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
 // so 1 MiB is comfortably paranoid.
 const maxLine = 1 << 20
 
+// LineError reports a malformed line of a JSONL export, naming it by
+// its 1-based line number.
+type LineError struct {
+	Line int
+	Err  error
+}
+
+func (e *LineError) Error() string { return fmt.Sprintf("export: line %d: %v", e.Line, e.Err) }
+
+func (e *LineError) Unwrap() error { return e.Err }
+
 // ReadJSONL reloads a dataset written by WriteJSONL, including the
 // per-country coverage statistics (absent from version-1 files, which
 // still load). Dataset totals are not part of the interchange format;
-// the caller re-derives what it needs from records and stats.
+// the caller re-derives what it needs from records and stats. Record
+// lines are decoded in one pass by jsonrec; the rare header, country
+// and trailer lines go through encoding/json. A malformed line is
+// reported as a *LineError.
 func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLine)
+	line := 1
+	bad := func(err error) error { return &LineError{Line: line, Err: err} }
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("export: header: %w", err)
+			return nil, bad(fmt.Errorf("header: %w", err))
 		}
 		return nil, fmt.Errorf("export: empty input")
 	}
 	var h header
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return nil, fmt.Errorf("export: header: %w", err)
+		return nil, bad(fmt.Errorf("header: %w", err))
 	}
 	if h.Format != "govhost-dataset" {
-		return nil, fmt.Errorf("export: not a govhost dataset (format %q)", h.Format)
+		return nil, bad(fmt.Errorf("not a govhost dataset (format %q)", h.Format))
 	}
 	if h.Version < 1 || h.Version > FormatVersion {
-		return nil, fmt.Errorf("export: unsupported version %d", h.Version)
+		return nil, bad(fmt.Errorf("unsupported version %d", h.Version))
 	}
 	ds := &dataset.Dataset{
 		Seed: h.Seed, Scale: h.Scale,
 		PerCountry: map[string]*dataset.CountryStats{},
 	}
+	dec := jsonrec.NewDecoder(jsonrec.ExportKeys)
 	var tr *trailer
 	for sc.Scan() {
-		line := sc.Bytes()
+		line++
+		b := sc.Bytes()
 		if tr != nil {
-			return nil, fmt.Errorf("export: content after trailer")
+			return nil, bad(errors.New("content after trailer"))
 		}
-		var probe struct {
-			Kind string `json:"kind"`
+		var rec dataset.URLRecord
+		kind, err := dec.Line(b, &rec)
+		if err != nil {
+			return nil, bad(fmt.Errorf("record: %w", err))
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("export: record: %w", err)
-		}
-		switch probe.Kind {
+		switch kind {
+		case "gov", "topsite":
+			if !rec.IP.IsValid() {
+				return nil, bad(fmt.Errorf("record %q: missing IP", rec.URL))
+			}
+			if rec.Category < 0 || rec.Category >= world.NumCategories {
+				return nil, bad(fmt.Errorf("record %q: bad category %d", rec.URL, rec.Category))
+			}
+			if kind == "gov" {
+				ds.Records = append(ds.Records, rec)
+			} else {
+				ds.Topsites = append(ds.Topsites, rec)
+			}
 		case "country":
 			var w jsonCountryStats
-			if err := json.Unmarshal(line, &w); err != nil {
-				return nil, fmt.Errorf("export: country stats: %w", err)
+			if err := json.Unmarshal(b, &w); err != nil {
+				return nil, bad(fmt.Errorf("country stats: %w", err))
 			}
 			ds.PerCountry[w.Country] = statsFromWire(&w)
-		case "topsite":
-			rec, err := recordFromLine(line)
-			if err != nil {
-				return nil, err
-			}
-			ds.Topsites = append(ds.Topsites, rec)
 		case "trailer":
 			var t trailer
-			if err := json.Unmarshal(line, &t); err != nil {
-				return nil, fmt.Errorf("export: trailer: %w", err)
+			if err := json.Unmarshal(b, &t); err != nil {
+				return nil, bad(fmt.Errorf("trailer: %w", err))
 			}
 			tr = &t
 		default:
-			rec, err := recordFromLine(line)
-			if err != nil {
-				return nil, err
-			}
-			ds.Records = append(ds.Records, rec)
+			return nil, bad(fmt.Errorf("unknown kind %q", kind))
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("export: %w", err)
+		line++
+		return nil, bad(err)
 	}
 	wantRecords, wantTopsites, wantCountries := h.Records, h.Topsite, h.Countries
 	if h.Version >= 3 {
@@ -362,14 +369,6 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 			len(ds.PerCountry), wantCountries)
 	}
 	return ds, nil
-}
-
-func recordFromLine(line []byte) (dataset.URLRecord, error) {
-	var w jsonRecord
-	if err := json.Unmarshal(line, &w); err != nil {
-		return dataset.URLRecord{}, fmt.Errorf("export: record: %w", err)
-	}
-	return fromWire(&w)
 }
 
 // csvHeader is the column layout of the CSV export.

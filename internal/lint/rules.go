@@ -29,6 +29,7 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/webgen":     true,
 	"repro/internal/dataset":    true,
 	"repro/internal/export":     true,
+	"repro/internal/jsonrec":    true, // decoded records must be a pure function of the input bytes
 	"repro/internal/report":     true,
 	"repro/internal/metrics":    true, // the deterministic snapshot half is golden-compared
 	"repro/internal/checkpoint": true, // stored bytes must be seed-deterministic for resume identity
