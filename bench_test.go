@@ -115,7 +115,7 @@ func BenchmarkAnalysisIndex(b *testing.B) {
 	s := benchStudy(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := analysis.BuildIndex(s.ds)
+		idx := analysis.BuildIndexWorkers(s.ds, 1)
 		if len(idx.CountryShares()) == 0 {
 			b.Fatal("empty index")
 		}

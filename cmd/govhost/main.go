@@ -33,9 +33,8 @@ func main() {
 		countries   = flag.String("countries", "", "comma-separated ISO codes to restrict the panel (default: all 61)")
 		exps        = flag.String("exp", "findings", "comma-separated experiment IDs, or 'all' / 'list'")
 		depth       = flag.Int("depth", 0, "crawl depth override (default: the paper's 7)")
-		concurrency = flag.Int("concurrency", 0, "combined parallelism budget; seeds -country-concurrency and -fetch-concurrency when those are unset (default: 8)")
-		countryConc = flag.Int("country-concurrency", 0, "countries crawled in parallel (default: -concurrency)")
-		fetchConc   = flag.Int("fetch-concurrency", 0, "study-wide fetch/annotate worker pool size shared by all crawls (default: -concurrency)")
+		countryConc = flag.Int("country-concurrency", 0, "countries crawled in parallel (default: 8)")
+		fetchConc   = flag.Int("fetch-concurrency", 0, "study-wide fetch/annotate worker pool size shared by all crawls (default: 8)")
 		maxURLs     = flag.Int("max-urls", 0, "cap on distinct URLs per country crawl, deterministically admitted (default: unlimited)")
 		faultProf   = flag.String("fault-profile", "off", "chaos fault profile: off, mild, aggressive, or key=value spec (timeout=0.1,reset=0.05,...)")
 		faultSeed   = flag.Int64("fault-seed", 0, "seed for the fault plan (default: -seed); same seed, same faults")
@@ -98,7 +97,6 @@ func main() {
 		Seed:               *seed,
 		Scale:              *scale,
 		CrawlDepth:         *depth,
-		Concurrency:        *concurrency,
 		CountryConcurrency: *countryConc,
 		FetchConcurrency:   *fetchConc,
 		MaxURLsPerCrawl:    *maxURLs,

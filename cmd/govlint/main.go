@@ -37,7 +37,6 @@ import (
 
 func main() {
 	format := flag.String("format", "text", "output format: text, json or sarif")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (alias for -format json)")
 	listRules := flag.Bool("rules", false, "list the checks and exit")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "package-analysis parallelism (1 = serial); findings are identical either way")
 	baseline := flag.String("baseline", "", "baseline file (JSON diagnostics); findings already accepted there do not fail the run")
@@ -48,9 +47,6 @@ func main() {
 	}
 	flag.Parse()
 
-	if *jsonOut {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "sarif":
 	default:

@@ -43,19 +43,12 @@ type Config struct {
 	Countries []string
 	// CrawlDepth overrides the paper's seven-level crawl when positive.
 	CrawlDepth int
-	// Concurrency is the back-compat combined parallelism knob: when
-	// CountryConcurrency or FetchConcurrency is unset, each inherits
-	// this value (0 picks a default of 8). Historically this knob was
-	// applied at two levels — countries in flight × workers per crawl —
-	// so a study could spawn Concurrency² goroutines; the unified
-	// scheduler spends it once.
-	Concurrency int
 	// CountryConcurrency bounds how many countries are crawled in
-	// parallel; 0 inherits Concurrency.
+	// parallel; 0 picks a default of 8.
 	CountryConcurrency int
 	// FetchConcurrency sizes the single study-wide worker pool that
 	// executes every fetch and annotation across all countries; 0
-	// inherits Concurrency. Total goroutine count during a run is
+	// picks a default of 8. Total goroutine count during a run is
 	// CountryConcurrency + FetchConcurrency.
 	FetchConcurrency int
 	// MaxURLsPerCrawl caps the distinct URLs each country crawl admits
@@ -119,7 +112,6 @@ func (c Config) toCore() core.Config {
 		Scale:              c.Scale,
 		Countries:          c.Countries,
 		CrawlDepth:         c.CrawlDepth,
-		Concurrency:        c.Concurrency,
 		CountryConcurrency: c.CountryConcurrency,
 		FetchConcurrency:   c.FetchConcurrency,
 		MaxURLsPerCrawl:    c.MaxURLsPerCrawl,

@@ -485,13 +485,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestSameSeedByteIdenticalExport(t *testing.T) {
 	// The full pipeline run twice with the same seed — including a
-	// MaxURLs cap and Concurrency > 1, the configuration that used to
+	// MaxURLs cap and concurrency > 1, the configuration that used to
 	// race frontier admission — must export byte-identical datasets.
 	cfg := Config{Scale: 0.03, Seed: 7,
-		Countries:        []string{"US", "MX", "UY", "FR", "JP"},
-		Concurrency:      4,
-		FetchConcurrency: 8,
-		MaxURLsPerCrawl:  30,
+		Countries:          []string{"US", "MX", "UY", "FR", "JP"},
+		CountryConcurrency: 4,
+		FetchConcurrency:   8,
+		MaxURLsPerCrawl:    30,
 	}
 	export := func() []byte {
 		s, err := Run(context.Background(), cfg)

@@ -266,7 +266,7 @@ func TestClusterCountriesAndBranches(t *testing.T) {
 	mk("BB", world.Cat3PLocal)
 	mk("CA", world.Cat3PGlobal)
 	mk("CB", world.Cat3PGlobal)
-	branches, err := BranchAssignment(BuildIndex(ds), SignatureURLs)
+	branches, err := BranchAssignment(BuildIndexWorkers(ds, 1), SignatureURLs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestCompareTopsites(t *testing.T) {
 func TestExplainForeignHostingNeedsObservations(t *testing.T) {
 	w := world.New()
 	ds := tinyDataset()
-	if _, err := ExplainForeignHosting(BuildIndex(ds), w); err == nil {
+	if _, err := ExplainForeignHosting(BuildIndexWorkers(ds, 1), w); err == nil {
 		t.Fatal("two countries cannot support a six-regressor model")
 	}
 }
@@ -327,7 +327,7 @@ func TestExplainForeignHostingFullPanel(t *testing.T) {
 			ds.Records = append(ds.Records, r)
 		}
 	}
-	res, err := ExplainForeignHosting(BuildIndex(ds), w)
+	res, err := ExplainForeignHosting(BuildIndexWorkers(ds, 1), w)
 	if err != nil {
 		t.Fatal(err)
 	}

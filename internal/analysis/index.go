@@ -106,14 +106,10 @@ type divAcc struct {
 	shares     Shares
 }
 
-// BuildIndex aggregates the dataset in a single scan of ds.Topsites
-// (to learn the comparison subset) and one scan of ds.Records.
-func BuildIndex(ds *dataset.Dataset) *Index {
-	return BuildIndexWorkers(ds, 1)
-}
-
-// BuildIndexWorkers builds the same Index with the record scan
-// partitioned across workers goroutines on sched.Workers. Each worker
+// BuildIndexWorkers aggregates the dataset in a single scan of
+// ds.Topsites (to learn the comparison subset) and one scan of
+// ds.Records, partitioned across workers goroutines on sched.Workers.
+// Each worker
 // folds a contiguous chunk of ds.Records — cut only at country
 // boundaries, so one country's rows stay together when the dataset is
 // grouped (the deterministic merge sink emits it that way) — into a

@@ -30,7 +30,7 @@ func indexDataset() *dataset.Dataset {
 func TestIndexEquivalence(t *testing.T) {
 	ds := indexDataset()
 	w := world.New()
-	ix := BuildIndex(ds)
+	ix := BuildIndexWorkers(ds, 1)
 
 	check := func(name string, got, want any) {
 		t.Helper()
@@ -67,7 +67,7 @@ func TestIndexEquivalence(t *testing.T) {
 // same answer.
 func TestIndexQueriesAreRepeatable(t *testing.T) {
 	ds := indexDataset()
-	ix := BuildIndex(ds)
+	ix := BuildIndexWorkers(ds, 1)
 	first := ix.Diversify()
 	ix.GlobalShares()
 	ix.MajorityMap()

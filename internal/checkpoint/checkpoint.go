@@ -112,17 +112,17 @@ type Country struct {
 	Records []dataset.URLRecord `json:"records,omitempty"`
 	// FailedHosts lists the hostnames this country tried to resolve
 	// that failed, with their lookup counts, so a resuming run can seed
-	// the negative cache and replay the cache accounting.
+	// the negative cache and derive the cache accounting.
 	FailedHosts []HostOutcome `json:"failedHosts,omitempty"`
 	// Delta is the country's directly attributable deterministic
 	// metric contribution: its fork registry's counters only —
 	// scheduler items, fetches, retries, injections, frontier, pipeline
 	// rows. Shares of the shared caches (resolution, geolocation, DNS
 	// fault replays) are deliberately absent: they depend on which
-	// other countries are stored, so the loading run recomputes them
-	// against its own union sets. That keeps deltas valid however many
-	// processes wrote the directory and however many generations of
-	// resume it went through.
+	// other countries are in the study, so the assembling run derives
+	// them once from its whole dataset. That keeps deltas valid however
+	// many processes wrote the directory and however many generations
+	// of resume it went through.
 	Delta metrics.Deterministic `json:"delta"`
 }
 

@@ -325,11 +325,10 @@ func TestGlobalThresholdAblation(t *testing.T) {
 
 func TestRunAppliesDefaultsWithoutNewEnv(t *testing.T) {
 	// Regression: an Env whose Config skipped withDefaults (a caller
-	// mirroring LoadedEnv, or a zero-valued Concurrency) used to build
-	// a zero-capacity semaphore and deadlock every worker. Run must
-	// normalise its own configuration.
+	// mirroring LoadedEnv, or a zero-valued concurrency budget) used to
+	// build a zero-capacity semaphore and deadlock every worker. Run
+	// must normalise its own configuration.
 	env := NewEnv(Config{Scale: 0.02, Countries: []string{"UY"}})
-	env.Config.Concurrency = 0
 	env.Config.CountryConcurrency = 0
 	env.Config.FetchConcurrency = 0
 	env.resolutions = nil
@@ -478,7 +477,7 @@ func TestPipelineDeterministicWithCapAndConcurrency(t *testing.T) {
 	// concurrency used to make frontier admission a worker race; now
 	// equal seeds must yield identical datasets, record for record.
 	cfg := Config{Scale: 0.03, MaxURLsPerCrawl: 40,
-		Concurrency: 4, CountryConcurrency: 4, FetchConcurrency: 8}
+		CountryConcurrency: 4, FetchConcurrency: 8}
 	a := runSubset(t, cfg)
 	b := runSubset(t, cfg)
 	if len(a.Records) != len(b.Records) {

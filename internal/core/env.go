@@ -33,17 +33,11 @@ type Config struct {
 
 	// CrawlDepth overrides the §3.2 depth of 7 when positive.
 	CrawlDepth int
-	// Concurrency is the legacy combined parallelism knob: it seeds
-	// both CountryConcurrency and FetchConcurrency when they are unset;
-	// 0 picks a sensible default. Before the unified scheduler this
-	// knob was applied twice (countries × per-crawl workers), spawning
-	// Concurrency² goroutines; it now names one budget.
-	Concurrency int
 	// CountryConcurrency bounds how many countries are in flight at
-	// once; 0 inherits Concurrency.
+	// once; 0 means 8.
 	CountryConcurrency int
 	// FetchConcurrency bounds the study-wide fetch/annotate worker
-	// pool shared by every crawl; 0 inherits Concurrency.
+	// pool shared by every crawl; 0 means 8.
 	FetchConcurrency int
 	// MaxURLsPerCrawl caps the distinct URLs admitted per country
 	// crawl (0 = unlimited). Admission is deterministic: the cap cuts
@@ -144,14 +138,11 @@ func (c Config) withDefaults() Config {
 	if c.ManycastRecall == 0 {
 		c.ManycastRecall = 0.97
 	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 8
-	}
 	if c.CountryConcurrency <= 0 {
-		c.CountryConcurrency = c.Concurrency
+		c.CountryConcurrency = 8
 	}
 	if c.FetchConcurrency <= 0 {
-		c.FetchConcurrency = c.Concurrency
+		c.FetchConcurrency = 8
 	}
 	if c.FaultSeed == 0 {
 		c.FaultSeed = c.Seed
@@ -210,30 +201,21 @@ func (env *Env) Metrics() *metrics.Registry { return env.metrics }
 // The nil-safe slice accessors keep pipeline call sites one-liners
 // whether or not a registry is attached.
 
-func (env *Env) cacheMetrics() *metrics.CacheMetrics {
+func (env *Env) cacheCoalesced() *metrics.Counter {
 	if env.metrics == nil {
 		return nil
 	}
-	return &env.metrics.Cache
+	return &env.metrics.Cache.Coalesced
 }
 
-func (env *Env) geoMetrics() *metrics.GeoMetrics {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Geo
-}
-
-// wireProberMetrics points the prober's cache ledgers at the registry's
-// geo slice; a nil registry leaves them detached (nil-safe recording).
+// wireProberMetrics points the prober's coalesce counters at the
+// registry's geo slice; a nil registry leaves them detached.
 func (env *Env) wireProberMetrics() {
-	if env.Prober == nil {
+	if env.Prober == nil || env.metrics == nil {
 		return
 	}
-	if gm := env.geoMetrics(); gm != nil {
-		env.Prober.UnicastMetrics = &gm.Unicast
-		env.Prober.AnycastMetrics = &gm.Anycast
-	}
+	env.Prober.UnicastCoalesced = &env.metrics.Geo.Unicast.Coalesced
+	env.Prober.AnycastCoalesced = &env.metrics.Geo.Anycast.Coalesced
 }
 
 func (env *Env) fetchMetrics() *metrics.FetchMetrics {
@@ -292,7 +274,7 @@ func NewEnv(cfg Config) *Env {
 		env.metrics = metrics.New()
 	}
 	env.wireProberMetrics()
-	env.resolutions = newRescache(env.cacheMetrics())
+	env.resolutions = newRescache(env.cacheCoalesced())
 	env.resolveHost = env.zoneResolve
 	return env
 }

@@ -66,7 +66,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 		env.wireProberMetrics()
 	}
 	if env.resolutions == nil {
-		env.resolutions = newRescache(env.cacheMetrics())
+		env.resolutions = newRescache(env.cacheCoalesced())
 	}
 	if env.resolveHost == nil {
 		env.resolveHost = env.zoneResolve
@@ -86,7 +86,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 	// SERVFAIL on attempt 0 can still resolve on attempt 1.
 	if env.Faults != nil && env.Faults.Profile.DNSServfail > 0 && !env.faultsWired {
 		env.faultsWired = true
-		env.resolveHost = faultyResolve(env.Faults, env.faultMetrics(), env.resolveHost)
+		env.resolveHost = faultyResolve(env.Faults, env.resolveHost)
 	}
 	countries := env.studyCountries()
 
@@ -174,9 +174,8 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 	sink := newMergeSink(env, ds, store, sinkCodes)
 	var sinkMu sync.Mutex
 
-	// Resume: replay the stored countries' shared-cache outcomes
-	// (metric-free — their ledger share arrives through the recomputed
-	// deltas), then hand the owned ones to the sink at their ranks so
+	// Resume: prefill the shared caches with the stored countries'
+	// outcomes, then hand the owned ones to the sink at their ranks so
 	// fresh countries slot in around them. A sibling shard's country is
 	// seeded but not assembled — its own worker (or the assembly pass)
 	// owns its rank.
@@ -200,7 +199,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 		}
 		if err := sink.complete(&countryDone{
 			code: lc.Code, stats: lc.Stats, records: lc.Records,
-			methods: methods, loaded: lc,
+			methods: methods, failed: lc.FailedHosts, delta: lc.Delta,
 		}); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -234,7 +233,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 				FailureReason: "shard worker exhausted its restart budget; country not collected",
 			}
 			env.pipelineMetrics().RecordCountry(code, metrics.CountryCounters{}, true, nil)
-			if err := sink.complete(&countryDone{code: code, stats: stats, transient: true}); err != nil {
+			if err := sink.complete(&countryDone{code: code, stats: stats}); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
@@ -260,6 +259,10 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 			if err != nil {
 				errs[i] = err
 				continue
+			}
+			d.fresh = true
+			if fork != nil {
+				d.delta = fork.Snapshot().Deterministic
 			}
 			sinkMu.Lock()
 			err = sink.complete(d)
@@ -310,10 +313,15 @@ feed:
 
 	if !cfg.SkipTopsites {
 		topStart := runtimeNow()
-		if err := env.runTopsites(ctx, ds, pool); err != nil {
+		failed, err := env.runTopsites(ctx, ds, pool)
+		if err != nil {
 			return nil, err
 		}
+		sink.failed = append(sink.failed, failed...)
 		env.pipelineMetrics().ObserveStage("topsites", runtimeSince(topStart))
+	}
+	if env.metrics != nil {
+		env.metrics.AddDeterministic(sharedLedger(ds, sink.failed, env.Faults, !cfg.TrustIPInfo))
 	}
 
 	assignCategories(env, ds)
@@ -518,7 +526,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		dpm.RecordCountry(c.Code, metrics.CountryCounters{VantageAttempts: int64(attempts)}, true, nil)
 		pm.RecordCountryTimings(c.Code, timings)
 		pm.ObserveStage("vantage", timings.Vantage)
-		return &countryDone{code: c.Code, stats: stats, fork: fork}, nil
+		return &countryDone{code: c.Code, stats: stats}, nil
 	}
 
 	retrier := env.fetchStack(vp.Fetcher, pool, fm, fam)
@@ -575,44 +583,45 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		return nil, err
 	}
 
-	// Compaction also tallies each hostname's resolution outcomes: the
-	// kind is kept raw (pre-rewrite) so a checkpoint replays exactly
-	// what fetch.ClassifyError saw, and the FailOther→FailDNS stats
-	// rewrite below happens identically on fresh and resumed paths.
+	// Compaction also tallies each failed hostname's lookups: the kind
+	// is kept raw (pre-rewrite) so a checkpoint replays exactly what
+	// fetch.ClassifyError saw, and the FailOther→FailDNS stats rewrite
+	// below happens identically on fresh and resumed paths.
 	records := recs[:0]
-	hosts := make(map[string]*hostTally)
+	resolved := make(map[string]bool)
+	failed := make(map[string]*checkpoint.HostOutcome)
 	for i := range recs {
 		host := archive.Entries[candidates[i].idx].Host
-		t := hosts[host]
-		if t == nil {
-			t = &hostTally{}
-			hosts[host] = t
-		}
-		t.lookups++
-		if errs[i] != nil {
-			// Unresolvable hostnames drop out of the records, as in any
-			// crawl — but no longer silently: resolution failures are
-			// coverage losses too.
-			kind := fetch.ClassifyError(errs[i])
-			t.failKind = string(kind)
-			if kind == fetch.FailOther {
-				kind = fetch.FailDNS // annotation errors are resolution failures
-			}
-			stats.AddFailure(string(kind))
+		if errs[i] == nil {
+			resolved[host] = true
+			recs[i].Method = string(candidates[i].method)
+			records = append(records, recs[i])
 			continue
 		}
-		recs[i].Method = string(candidates[i].method)
-		records = append(records, recs[i])
-	}
-	hostnames := 0
-	for _, t := range hosts {
-		if t.failKind == "" {
-			hostnames++
+		// Unresolvable hostnames drop out of the records, as in any
+		// crawl — but no longer silently: resolution failures are
+		// coverage losses too.
+		kind := fetch.ClassifyError(errs[i])
+		h := failed[host]
+		if h == nil {
+			h = &checkpoint.HostOutcome{Host: host}
+			failed[host] = h
 		}
+		h.FailKind = string(kind)
+		h.Lookups++
+		if kind == fetch.FailOther {
+			kind = fetch.FailDNS // annotation errors are resolution failures
+		}
+		stats.AddFailure(string(kind))
 	}
+	var failedHosts []checkpoint.HostOutcome
+	for _, h := range failed {
+		failedHosts = append(failedHosts, *h)
+	}
+	sort.Slice(failedHosts, func(i, j int) bool { return failedHosts[i].Host < failedHosts[j].Host })
 
 	stats.InternalURLs = methods[govclass.MethodTLD] + methods[govclass.MethodDomain] + methods[govclass.MethodSAN]
-	stats.Hostnames = hostnames
+	stats.Hostnames = len(resolved)
 	stats.Retries = int(retrier.Stats().Retries)
 	discarded := int64(methods[govclass.MethodDiscarded])
 
@@ -636,7 +645,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	pm.ObserveStage("annotate", timings.Annotate)
 	return &countryDone{
 		code: c.Code, stats: stats, records: records,
-		methods: methods, hosts: hosts, fork: fork,
+		methods: methods, failed: failedHosts,
 	}, nil
 }
 

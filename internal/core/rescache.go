@@ -22,11 +22,11 @@ type resolveFunc func(host string) (netip.Addr, whois.Record, error)
 type rescache struct {
 	mu sync.Mutex
 	m  map[string]*resEntry
-	// metrics, when set, receives the cache's hit/miss/negative
-	// accounting. The lookup and miss counts are deterministic (the
-	// hostname multiset is a pure function of the seed); only the
-	// coalesce count depends on worker interleaving.
-	metrics *metrics.CacheMetrics
+	// coalesced, when set, counts the lookups that waited on another
+	// worker's in-flight resolution — interleaving-dependent runtime
+	// data. The deterministic lookup/hit/miss/negative counts are not
+	// recorded here: sharedLedger derives them from the dataset.
+	coalesced *metrics.Counter
 }
 
 // resEntry is one hostname's outcome; once guarantees a single
@@ -41,8 +41,8 @@ type resEntry struct {
 	err  error
 }
 
-func newRescache(cm *metrics.CacheMetrics) *rescache {
-	return &rescache{m: make(map[string]*resEntry), metrics: cm}
+func newRescache(coalesced *metrics.Counter) *rescache {
+	return &rescache{m: make(map[string]*resEntry), coalesced: coalesced}
 }
 
 // resolve returns the cached outcome for host, performing the lookup
@@ -57,40 +57,21 @@ func (c *rescache) resolve(host string, fn resolveFunc) (netip.Addr, whois.Recor
 		c.m[host] = e
 	}
 	c.mu.Unlock()
-	if m := c.metrics; m != nil {
-		m.Lookups.Inc()
-		if created {
-			m.Misses.Inc()
-		} else {
-			m.Hits.Inc()
-			if !e.done.Load() {
-				m.Coalesced.Inc()
-			}
-		}
+	if !created && c.coalesced != nil && !e.done.Load() {
+		c.coalesced.Inc()
 	}
 	e.once.Do(func() {
 		e.ip, e.rec, e.err = fn(host)
-		if e.err != nil {
-			if m := c.metrics; m != nil {
-				m.NegativeEntries.Inc()
-			}
-		}
 		e.done.Store(true)
 	})
-	if !created && e.err != nil {
-		if m := c.metrics; m != nil {
-			m.NegativeHits.Inc()
-		}
-	}
 	return e.ip, e.rec, e.err
 }
 
 // seed installs a settled outcome for host without running a
-// resolution and without touching the cache metrics — how a resumed
-// run replays the resolutions its checkpointed countries already paid
-// for (their cache accounting arrives separately, via the stored
-// deterministic deltas). An existing entry is left untouched, so
-// seeding is idempotent across overlapping checkpoints.
+// resolution — how a resumed run prefills the cache with the
+// resolutions its checkpointed countries already paid for. An existing
+// entry is left untouched, so seeding is idempotent across overlapping
+// checkpoints.
 func (c *rescache) seed(host string, ip netip.Addr, rec whois.Record, err error) {
 	c.mu.Lock()
 	e := c.m[host]
@@ -121,21 +102,29 @@ const resolveAttempts = 3
 // attempt first consults the plan (deterministically per hostname and
 // attempt), so an injected SERVFAIL can clear on a later attempt and
 // the same seed always resolves — or fails — the same set of names.
-// Injected SERVFAILs land in fm's ledger; the count is deterministic
-// because the single-flight cache resolves each hostname exactly once.
-func faultyResolve(plan *faults.Plan, fm *metrics.FaultMetrics, inner resolveFunc) resolveFunc {
+func faultyResolve(plan *faults.Plan, inner resolveFunc) resolveFunc {
 	return func(host string) (netip.Addr, whois.Record, error) {
-		var lastErr error
-		for attempt := 0; attempt < resolveAttempts; attempt++ {
-			if err := plan.DNSFault(host, attempt); err != nil {
-				fm.Inject(string(faults.KindServfail))
-				lastErr = err
-				continue
-			}
-			return inner(host)
+		if n, err := injectedServfails(plan, host); n == resolveAttempts {
+			return netip.Addr{}, whois.Record{}, err
 		}
-		return netip.Addr{}, whois.Record{}, lastErr
+		return inner(host)
 	}
+}
+
+// injectedServfails runs the plan's per-attempt DNS fault rolls for
+// host: it returns how many leading attempts were SERVFAILed and the
+// last injected error. The resolution goes through when n is below
+// resolveAttempts. The rolls are stateless hashes of (host, attempt),
+// so sharedLedger replays the count without resolving anything.
+func injectedServfails(plan *faults.Plan, host string) (n int, err error) {
+	for n < resolveAttempts {
+		e := plan.DNSFault(host, n)
+		if e == nil {
+			break
+		}
+		n, err = n+1, e
+	}
+	return n, err
 }
 
 // zoneResolve is the production resolveFunc: DNS through the synthetic

@@ -8,14 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/whois"
 )
 
 func TestRescacheSingleFlight(t *testing.T) {
-	cm := &metrics.CacheMetrics{}
-	c := newRescache(cm)
+	var coalesced metrics.Counter
+	c := newRescache(&coalesced)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	fn := func(host string) (netip.Addr, whois.Record, error) {
@@ -39,9 +41,9 @@ func TestRescacheSingleFlight(t *testing.T) {
 	// Hold the single in-flight resolution until every other worker has
 	// arrived and registered as a coalesced hit, then let it finish.
 	deadline := time.Now().Add(5 * time.Second)
-	for cm.Coalesced.Load() < workers-1 {
+	for coalesced.Load() < workers-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers coalesced", cm.Coalesced.Load(), workers-1)
+			t.Fatalf("only %d of %d workers coalesced", coalesced.Load(), workers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -51,27 +53,19 @@ func TestRescacheSingleFlight(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("resolver ran %d times, want 1 (single flight)", got)
 	}
-	if cm.Lookups.Load() != workers || cm.Misses.Load() != 1 || cm.Hits.Load() != workers-1 {
-		t.Errorf("lookups/misses/hits = %d/%d/%d, want %d/1/%d",
-			cm.Lookups.Load(), cm.Misses.Load(), cm.Hits.Load(), workers, workers-1)
-	}
 	if got := c.size(); got != 1 {
 		t.Errorf("cache size = %d, want 1", got)
 	}
 
 	// A lookup after the entry settles is a plain hit, not a coalesce.
 	c.resolve("gov.example", fn)
-	if got := cm.Coalesced.Load(); got != workers-1 {
+	if got := coalesced.Load(); got != workers-1 {
 		t.Errorf("Coalesced = %d after settled hit, want %d", got, workers-1)
-	}
-	if got := cm.Hits.Load(); got != workers {
-		t.Errorf("Hits = %d after settled hit, want %d", got, workers)
 	}
 }
 
 func TestRescacheNegativeCaching(t *testing.T) {
-	cm := &metrics.CacheMetrics{}
-	c := newRescache(cm)
+	c := newRescache(nil)
 	calls := 0
 	boom := errors.New("NXDOMAIN")
 	fn := func(host string) (netip.Addr, whois.Record, error) {
@@ -86,15 +80,8 @@ func TestRescacheNegativeCaching(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("resolver ran %d times, want 1 (negative entry cached)", calls)
 	}
-	if cm.NegativeEntries.Load() != 1 {
-		t.Errorf("NegativeEntries = %d, want 1", cm.NegativeEntries.Load())
-	}
-	if cm.NegativeHits.Load() != 2 {
-		t.Errorf("NegativeHits = %d, want 2", cm.NegativeHits.Load())
-	}
-	if cm.Lookups.Load() != 3 || cm.Misses.Load() != 1 || cm.Hits.Load() != 2 {
-		t.Errorf("lookups/misses/hits = %d/%d/%d, want 3/1/2",
-			cm.Lookups.Load(), cm.Misses.Load(), cm.Hits.Load())
+	if got := c.size(); got != 1 {
+		t.Errorf("cache size = %d, want 1", got)
 	}
 }
 
@@ -120,19 +107,25 @@ func TestRescacheNilMetrics(t *testing.T) {
 	}
 }
 
-// TestFaultyResolveInjectionLedger: each injected SERVFAIL lands in the
-// fault ledger once per attempt it blocked.
+// TestFaultyResolveInjectionLedger: a hostname SERVFAILed on every
+// attempt never reaches the inner resolver, and the ledger replays one
+// injection per attempt it blocked.
 func TestFaultyResolveInjectionLedger(t *testing.T) {
 	plan := faults.NewPlan(7, faults.Profile{DNSServfail: 1.0})
-	fm := &metrics.FaultMetrics{}
+	calls := 0
 	inner := func(host string) (netip.Addr, whois.Record, error) {
+		calls++
 		return netip.MustParseAddr("192.0.2.2"), whois.Record{}, nil
 	}
-	wrapped := faultyResolve(plan, fm, inner)
+	wrapped := faultyResolve(plan, inner)
 	if _, _, err := wrapped("always.example"); err == nil {
 		t.Fatal("servfail=1.0 resolved anyway")
 	}
-	if got := fm.Injections.Load(string(faults.KindServfail)); got != resolveAttempts {
+	if calls != 0 {
+		t.Errorf("inner resolver ran %d times behind a certain SERVFAIL", calls)
+	}
+	d := sharedLedger(&dataset.Dataset{}, []checkpoint.HostOutcome{{Host: "always.example", Lookups: 1}}, plan, true)
+	if got := d.Faults.Injections[string(faults.KindServfail)]; got != resolveAttempts {
 		t.Errorf("servfail injections = %d, want %d (one per attempt)", got, resolveAttempts)
 	}
 }

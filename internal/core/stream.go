@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
-	"repro/internal/faults"
 	"repro/internal/fetch"
 	"repro/internal/govclass"
 	"repro/internal/metrics"
@@ -14,48 +13,27 @@ import (
 	"repro/internal/whois"
 )
 
-// hostTally is one hostname's share of a country's annotation pass:
-// how many resolutions the country issued for it and, when the
-// resolution failed, the failure classification. The counts are
-// deterministic (the candidate multiset is a pure function of the
-// seed); they feed the canonical cache attribution the checkpoint
-// stores.
-type hostTally struct {
-	lookups  int64
-	failKind string // "" = resolved
-}
-
 // countryDone is one finished country on its way into the merge sink:
-// fresh from runCountry (fork carries its deterministic metric
-// contribution), reloaded from a checkpoint (loadedDelta carries it),
-// or a transient failure row synthesized for a country a dead shard
-// owned (never persisted — the failure is a fact about this run's
-// crashes, not about the seed).
+// fresh from runCountry, reloaded from a checkpoint, or a transient
+// failure row synthesized for a country a dead shard owned (never
+// persisted — the failure is a fact about this run's crashes, not
+// about the seed).
 type countryDone struct {
 	code    string
 	stats   *dataset.CountryStats
 	records []dataset.URLRecord
 	methods map[govclass.URLMethod]int
-	hosts   map[string]*hostTally
+	// failed lists the hostnames whose resolution failed, with the
+	// lookups the country issued for each, sorted by host.
+	failed []checkpoint.HostOutcome
+	// delta is the country's directly-attributable deterministic
+	// metric contribution: a fresh country's fork snapshot or a
+	// reloaded country's stored copy of it. The shared caches' share is
+	// not in it; sharedLedger derives that once for the whole study.
+	delta metrics.Deterministic
 
-	fork   *metrics.Registry   // fresh country's attributable counters; nil when metrics are off
-	loaded *checkpoint.Country // set for resume-loaded countries
-
-	// loadedDelta is a reloaded country's full deterministic
-	// contribution — its stored fork-only delta plus its recomputed
-	// share of the shared caches — fixed at complete() time, while the
-	// sink's union sets still advance in sorted-code load order.
-	loadedDelta metrics.Deterministic
-
-	transient bool // synthesized failure row: flush must not persist it
-	parked    bool // sat in pending behind an earlier country
-}
-
-// anycastSeenKey keys the sink's anycast union set; anycast verdicts
-// are vantage-dependent, so the key mirrors the prober's.
-type anycastSeenKey struct {
-	vantage string
-	addr    netip.Addr
+	fresh  bool // ran in this process: counts as buffered while parked, and is persisted
+	parked bool // sat in pending behind an earlier country
 }
 
 // mergeSink consumes completed countries and applies them to the
@@ -69,19 +47,10 @@ type anycastSeenKey struct {
 // canonical order without a final global sort.
 //
 // When a checkpoint store is attached, each fresh flush also persists
-// the country together with its directly-attributable deterministic
-// delta (the fork's counters) and its per-hostname resolution
-// outcomes. Shares of the shared caches are deliberately not stored:
-// they depend on which other countries are stored, which a shard
-// worker cannot know — another shard process may be claiming the same
-// hosts concurrently. Instead, the loading run recomputes each
-// reloaded country's share against its own union sets, in sorted-code
-// load order. Every shared quantity is set-level (misses = distinct
-// hosts, hits = lookups − distinct, negative entries = distinct failed
-// hosts, geolocation analogously per address), so the recomputed
-// totals are independent of attribution order — the property that
-// makes one-process resume, multi-generation resume and multi-shard
-// assembly all land on the same bytes.
+// the country together with its deterministic delta and its failed
+// resolutions. The shared caches' counters are not stored: they are
+// set-level functions of the assembled records and failed lookups,
+// which Env.Run derives once after assembly.
 type mergeSink struct {
 	env     *Env
 	ds      *dataset.Dataset
@@ -90,9 +59,9 @@ type mergeSink struct {
 	pending []*countryDone
 	next    int
 
-	seenHosts map[string]bool
-	seenUni   map[netip.Addr]bool
-	seenAny   map[anycastSeenKey]bool
+	// failed collects the flushed countries' failed resolutions —
+	// sharedLedger's input beside the records.
+	failed []checkpoint.HostOutcome
 }
 
 // newMergeSink builds a sink for the study's country set. The flush
@@ -107,11 +76,8 @@ func newMergeSink(env *Env, ds *dataset.Dataset, store *checkpoint.Store, codes 
 	}
 	return &mergeSink{
 		env: env, ds: ds, store: store,
-		rank:      rank,
-		pending:   make([]*countryDone, len(sorted)),
-		seenHosts: map[string]bool{},
-		seenUni:   map[netip.Addr]bool{},
-		seenAny:   map[anycastSeenKey]bool{},
+		rank:    rank,
+		pending: make([]*countryDone, len(sorted)),
 	}
 }
 
@@ -121,14 +87,7 @@ func newMergeSink(env *Env, ds *dataset.Dataset, store *checkpoint.Store, codes 
 func (s *mergeSink) complete(d *countryDone) error {
 	r := s.rank[d.code]
 	s.pending[r] = d
-	if d.loaded != nil {
-		// Recompute the reloaded country's shared-cache share now, not
-		// at flush: all loaded completes run in sorted-code order before
-		// any worker starts, so the union-set claims are deterministic
-		// however fresh countries later interleave.
-		d.loadedDelta = s.loadedDelta(d.loaded)
-	}
-	if r != s.next && d.loaded == nil {
+	if r != s.next && d.fresh {
 		// Fresh completed work waiting on an earlier country is the
 		// memory the streaming bound is about; loaded countries are
 		// replays of already-persisted work, not new buffering.
@@ -148,8 +107,7 @@ func (s *mergeSink) complete(d *countryDone) error {
 // drain flushes every parked country in rank order, skipping gaps —
 // the cancellation path: countries that finished while later (in rank
 // order, earlier) ones were still crawling get persisted instead of
-// thrown away. Attribution stays canonical because the union sets
-// advance in the same store order a resuming run will see.
+// thrown away.
 func (s *mergeSink) drain() error {
 	for r := s.next; r < len(s.pending); r++ {
 		if s.pending[r] == nil {
@@ -164,19 +122,11 @@ func (s *mergeSink) drain() error {
 }
 
 // flush applies one country to the dataset, absorbs its deterministic
-// metric contribution into the study registry, and — for fresh
-// countries with a store attached — persists it.
-//
-// The three paths feed the registry differently on purpose. A fresh
-// country adds only its fork: its shared-cache share was already
-// recorded live (the caches' ledgers stay attached to the study
-// registry in every run, and a seeded entry reads as a plain hit, so
-// live recording telescopes with loaded deltas by itself). A reloaded
-// country ran nothing live, so its recomputed delta — stored fork plus
-// this run's union-set share — re-enters wholesale. A transient
-// failure row carries no metrics and is never persisted: which shard
-// died is a fact about this run's crashes, not about the seed, so it
-// must not poison future resumes of the directory.
+// delta into the study registry, and — for fresh countries with a
+// store attached — persists it. Fresh and reloaded countries enter the
+// ledger the same way, through their delta; a transient failure row
+// carries none (its pipeline accounting was recorded directly by the
+// caller).
 func (s *mergeSink) flush(d *countryDone) error {
 	if d.parked {
 		s.env.pipelineMetrics().RecordsInFlight(-int64(len(d.records)))
@@ -187,40 +137,25 @@ func (s *mergeSink) flush(d *countryDone) error {
 	s.ds.MethodDomain += d.methods[govclass.MethodDomain]
 	s.ds.MethodSAN += d.methods[govclass.MethodSAN]
 	s.ds.Discarded += d.methods[govclass.MethodDiscarded]
+	s.failed = append(s.failed, d.failed...)
+	s.env.metrics.AddDeterministic(d.delta)
 
-	switch {
-	case d.loaded != nil:
-		s.env.metrics.AddDeterministic(d.loadedDelta)
-	case d.transient:
-		// Nothing: the synthesized row's pipeline accounting was
-		// recorded directly by the caller.
-	default:
-		var forkDelta metrics.Deterministic
-		if d.fork != nil {
-			forkDelta = d.fork.Snapshot().Deterministic
-			s.env.metrics.AddDeterministic(forkDelta)
+	if d.fresh && s.store != nil {
+		cp := checkpoint.Country{
+			Code:        d.code,
+			Stats:       d.stats,
+			Records:     d.records,
+			Delta:       d.delta,
+			FailedHosts: d.failed,
 		}
-		if s.store != nil {
-			cp := checkpoint.Country{
-				Code:    d.code,
-				Stats:   d.stats,
-				Records: d.records,
-				Delta:   forkDelta,
+		if len(d.methods) > 0 {
+			cp.Methods = make(map[string]int, len(d.methods))
+			for m, n := range d.methods {
+				cp.Methods[string(m)] = n
 			}
-			if len(d.methods) > 0 {
-				cp.Methods = make(map[string]int, len(d.methods))
-				for m, n := range d.methods {
-					cp.Methods[string(m)] = n
-				}
-			}
-			for _, h := range sortedHostKeys(d.hosts) {
-				if t := d.hosts[h]; t.failKind != "" {
-					cp.FailedHosts = append(cp.FailedHosts, checkpoint.HostOutcome{Host: h, FailKind: t.failKind, Lookups: t.lookups})
-				}
-			}
-			if err := s.store.Put(cp); err != nil {
-				return err
-			}
+		}
+		if err := s.store.Put(cp); err != nil {
+			return err
 		}
 	}
 	if s.env.afterFlush != nil {
@@ -229,155 +164,11 @@ func (s *mergeSink) flush(d *countryDone) error {
 	return nil
 }
 
-// loadedDelta is a reloaded country's full deterministic contribution:
-// the stored fork-only delta (scheduler items, fetches, retries,
-// fetch-kind and egress-flap injections, frontier, pipeline rows) plus
-// its share of the shared resolution and geolocation caches,
-// recomputed against this run's union sets. The per-host tallies
-// reconstruct exactly from the stored state — a resolved host's
-// lookups equal its record count (resolution is cached per host, so
-// its annotation outcomes are all-or-nothing) and failed hosts carry
-// their counts explicitly.
-func (s *mergeSink) loadedDelta(lc *checkpoint.Country) metrics.Deterministic {
-	delta := lc.Delta
-	hosts := make(map[string]*hostTally, len(lc.Records)+len(lc.FailedHosts))
-	for i := range lc.Records {
-		t := hosts[lc.Records[i].Host]
-		if t == nil {
-			t = &hostTally{}
-			hosts[lc.Records[i].Host] = t
-		}
-		t.lookups++
-	}
-	for _, h := range lc.FailedHosts {
-		hosts[h.Host] = &hostTally{lookups: h.Lookups, failKind: h.FailKind}
-	}
-
-	replayDNS := s.env.Faults != nil && s.env.Faults.Profile.DNSServfail > 0
-	for _, h := range sortedHostKeys(hosts) {
-		t := hosts[h]
-		delta.Cache.Lookups += t.lookups
-		if !s.seenHosts[h] {
-			s.seenHosts[h] = true
-			delta.Cache.Misses++
-			delta.Cache.Hits += t.lookups - 1
-			if t.failKind != "" {
-				delta.Cache.NegativeEntries++
-				delta.Cache.NegativeHits += t.lookups - 1
-			}
-			if replayDNS {
-				// The study-wide resolver records SERVFAIL injections
-				// live for the host's first resolver; the rolls are
-				// stateless hashes of (host, attempt), so the claiming
-				// country's delta replays them exactly.
-				if n := s.dnsInjectionsFor(h); n > 0 {
-					if delta.Faults.Injections == nil {
-						delta.Faults.Injections = map[string]int64{}
-					}
-					delta.Faults.Injections[string(faults.KindServfail)] += n
-				}
-			}
-		} else {
-			delta.Cache.Hits += t.lookups
-			if t.failKind != "" {
-				delta.Cache.NegativeHits += t.lookups
-			}
-		}
-	}
-
-	if !s.env.Config.TrustIPInfo {
-		s.addGeoDelta(lc.Code, lc.Records, &delta)
-	}
-	return delta
-}
-
-// addGeoDelta attributes the country's share of the geolocation
-// verdict caches, reconstructed from its records: every record issued
-// exactly one verdict lookup, keyed by address (unicast) or by
-// (vantage, address) (anycast), negative when the verdict is UR/EX.
-func (s *mergeSink) addGeoDelta(code string, records []dataset.URLRecord, delta *metrics.Deterministic) {
-	type tally struct {
-		lookups  int64
-		negative bool
-	}
-	uni := map[netip.Addr]*tally{}
-	anyc := map[netip.Addr]*tally{}
-	for i := range records {
-		r := &records[i]
-		m := uni
-		if r.Anycast {
-			m = anyc
-		}
-		t := m[r.IP]
-		if t == nil {
-			t = &tally{}
-			m[r.IP] = t
-		}
-		t.lookups++
-		t.negative = r.GeoMethod == string(probing.MethodUnresolved) || r.GeoMethod == string(probing.MethodExcluded)
-	}
-	fold := func(c *metrics.CacheCounters, m map[netip.Addr]*tally, seen func(netip.Addr) bool) {
-		addrs := make([]netip.Addr, 0, len(m))
-		for a := range m {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-		for _, a := range addrs {
-			t := m[a]
-			c.Lookups += t.lookups
-			if !seen(a) {
-				c.Misses++
-				c.Hits += t.lookups - 1
-				if t.negative {
-					c.NegativeEntries++
-					c.NegativeHits += t.lookups - 1
-				}
-			} else {
-				c.Hits += t.lookups
-				if t.negative {
-					c.NegativeHits += t.lookups
-				}
-			}
-		}
-	}
-	fold(&delta.Geo.Unicast, uni, func(a netip.Addr) bool {
-		if s.seenUni[a] {
-			return true
-		}
-		s.seenUni[a] = true
-		return false
-	})
-	fold(&delta.Geo.Anycast, anyc, func(a netip.Addr) bool {
-		k := anycastSeenKey{vantage: code, addr: a}
-		if s.seenAny[k] {
-			return true
-		}
-		s.seenAny[k] = true
-		return false
-	})
-}
-
-// dnsInjectionsFor replays the resolver's per-attempt fault rolls for
-// one hostname — the same loop faultyResolve runs, counting the
-// injected SERVFAILs before the first clean attempt.
-func (s *mergeSink) dnsInjectionsFor(host string) int64 {
-	var n int64
-	for attempt := 0; attempt < resolveAttempts; attempt++ {
-		if s.env.Faults.DNSFault(host, attempt) != nil {
-			n++
-			continue
-		}
-		break
-	}
-	return n
-}
-
-// seedFromCheckpoint replays one stored country's shared-cache
-// outcomes without recording any metric events: resolutions (positive
-// from the records, negative from the failed-host list) and
-// geolocation verdicts. The metric side arrives separately, through
-// the stored delta, so a resumed run's ledger matches an uninterrupted
-// one's.
+// seedFromCheckpoint prefills the shared caches with one stored
+// country's outcomes: resolutions (positive from the records, negative
+// from the failed-host list) and geolocation verdicts. Seeding records
+// no metric: the caches' counters are derived from the assembled
+// dataset, which does not depend on who filled an entry.
 func (env *Env) seedFromCheckpoint(c *checkpoint.Country) {
 	for i := range c.Records {
 		r := &c.Records[i]
@@ -415,15 +206,3 @@ func (e seededErr) Error() string {
 
 // FailKind implements fetch.Failure.
 func (e seededErr) FailKind() fetch.FailKind { return e.kind }
-
-// sortedHostKeys returns the tally map's hostnames sorted, so the
-// union-set walk — and therefore the stored attribution — is
-// deterministic.
-func sortedHostKeys(m map[string]*hostTally) []string {
-	out := make([]string, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/sched"
@@ -17,7 +18,10 @@ import (
 // landing page, identifies self-hosting via the CNAME/SAN heuristic,
 // and annotates serving infrastructure exactly like the government
 // pipeline — through the same shared scheduler and resolution cache.
-func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sched.Pool) error {
+// Topsites are never checkpointed; their failed resolutions are
+// returned, one lookup each, for the shared-cache ledger.
+func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sched.Pool) ([]checkpoint.HostOutcome, error) {
+	var failed []checkpoint.HostOutcome
 	subset := env.topsiteCountrySet()
 	for _, code := range webgen.ComparisonCountries {
 		if !subset[code] {
@@ -50,7 +54,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 		}
 		archive, err := cr.Crawl(ctx, landings)
 		if err != nil {
-			return fmt.Errorf("core: topsites %s: %w", code, err)
+			return nil, fmt.Errorf("core: topsites %s: %w", code, err)
 		}
 
 		for _, entry := range archive.Entries {
@@ -63,6 +67,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			}
 			rec, err := env.annotate(c, entry, env.pipelineMetrics())
 			if err != nil {
+				failed = append(failed, checkpoint.HostOutcome{Host: entry.Host, Lookups: 1})
 				continue
 			}
 			cname, _ := env.Zones.CNAMEOf(entry.Host)
@@ -74,7 +79,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			ds.Topsites = append(ds.Topsites, rec)
 		}
 	}
-	return nil
+	return failed, nil
 }
 
 // topsiteCountrySet intersects the comparison subset with the

@@ -136,11 +136,16 @@ func ParseProfile(spec string) (Profile, error) {
 			if err != nil {
 				return Profile{}, fmt.Errorf("faults: bad slowdelay %q: %v", val, err)
 			}
+			if d < 0 {
+				return Profile{}, fmt.Errorf("faults: bad slowdelay %q (want >= 0)", val)
+			}
 			p.SlowDelay = d
 			continue
 		}
+		// Written so NaN, which ParseFloat accepts and every comparison
+		// rejects, fails the range check instead of slipping through it.
 		rate, err := strconv.ParseFloat(val, 64)
-		if err != nil || rate < 0 || rate > 1 {
+		if err != nil || !(rate >= 0 && rate <= 1) {
 			return Profile{}, fmt.Errorf("faults: bad rate %q for %q (want 0..1)", val, key)
 		}
 		switch key {

@@ -51,6 +51,40 @@ func TestParseProfileSpec(t *testing.T) {
 	}
 }
 
+// TestParseProfileRejectsNaNAndNegativeDelay: strconv.ParseFloat
+// accepts "NaN", and NaN fails both halves of a `rate < 0 || rate > 1`
+// check, so such a spec used to parse and silently inject nothing.
+func TestParseProfileRejectsNaNAndNegativeDelay(t *testing.T) {
+	for _, bad := range []string{"timeout=NaN", "servfail=nan", "flap=+NaN", "reset=-0.1", "5xx=Inf", "slowdelay=-1ms"} {
+		if p, err := ParseProfile(bad); err == nil {
+			t.Errorf("ParseProfile(%q) accepted: %+v", bad, p)
+		}
+	}
+}
+
+// FuzzParseProfile: ParseProfile never panics, and every profile it
+// accepts has each rate in [0, 1] and a non-negative SlowDelay.
+func FuzzParseProfile(f *testing.F) {
+	for _, seed := range []string{"", "off", "mild", "aggressive", "timeout=0.25, reset=0.5,5xx=1,slowdelay=7ms", "servfail=0.9", "timeout=NaN", "slowdelay=-1ms"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseProfile(spec)
+		if err != nil {
+			return
+		}
+		rates := []float64{p.Timeout, p.Reset, p.HTTP5xx, p.Truncate, p.Slow, p.DeadHost, p.DNSServfail, p.EgressFlap}
+		for i, r := range rates {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseProfile(%q) accepted rate #%d = %v", spec, i, r)
+			}
+		}
+		if p.SlowDelay < 0 {
+			t.Fatalf("ParseProfile(%q) accepted SlowDelay %v", spec, p.SlowDelay)
+		}
+	})
+}
+
 // TestPlanDeterminism: equal (seed, profile) pairs must make identical
 // decisions; different seeds must diverge somewhere.
 func TestPlanDeterminism(t *testing.T) {

@@ -237,7 +237,9 @@ type SchedMetrics struct {
 // CacheMetrics instruments the resolution cache. Lookups, hits and
 // misses are deterministic: the set of hostnames resolved and the
 // number of lookups per hostname are pure functions of the seed, even
-// though which worker performs the miss is not. Coalesced counts the
+// though which worker performs the miss is not. The pipeline derives
+// them once from the assembled dataset and adds them through
+// AddDeterministic; the cache itself records only Coalesced, the
 // non-creating lookups that arrived while the resolution was still in
 // flight — a pure interleaving artifact, so it lives on the runtime
 // side (every coalesce is also counted as a hit).

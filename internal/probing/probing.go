@@ -54,12 +54,13 @@ type Prober struct {
 	// single global threshold", §3.5).
 	GlobalThresholdMS float64
 
-	// UnicastMetrics and AnycastMetrics, when set, receive each
-	// cache's accounting. Lookup/hit/miss/negative counts are
-	// deterministic (the address multiset is a pure function of the
-	// seed); only coalesce counts depend on worker interleaving.
-	UnicastMetrics *metrics.CacheMetrics
-	AnycastMetrics *metrics.CacheMetrics
+	// UnicastCoalesced and AnycastCoalesced, when set, count the
+	// lookups that waited on another worker's in-flight probe sequence
+	// — interleaving-dependent runtime data. The caches record no
+	// deterministic counts: the pipeline derives lookups, hits, misses
+	// and negatives from the verdicts in the assembled dataset.
+	UnicastCoalesced *metrics.Counter
+	AnycastCoalesced *metrics.Counter
 
 	// Both caches are single-flight: the first goroutine to miss runs
 	// the probe sequence inside the entry's once while concurrent
@@ -130,11 +131,11 @@ func (p *Prober) minFromProbes(country string, addr netip.Addr) (float64, bool) 
 	return p.Net.MinPingFrom(country, addr, probeCount*pingsPerProbe, 0)
 }
 
-// negative reports whether a verdict failed to validate the address —
-// the cache's analogue of a failed resolution (UR and EX verdicts are
-// themselves deterministic, so so is this count).
-func negative(v Verdict) bool {
-	return v.Method == MethodUnresolved || v.Method == MethodExcluded
+// Negative reports whether the method failed to validate the address
+// — a negative entry of the verdict cache, the analogue of a failed
+// resolution.
+func (m Method) Negative() bool {
+	return m == MethodUnresolved || m == MethodExcluded
 }
 
 // GeolocateAnycast verifies whether an anycast address has a site
@@ -153,21 +154,11 @@ func (p *Prober) GeolocateAnycast(vantage *world.Country, addr netip.Addr) Verdi
 		p.anycast[key] = e
 	}
 	p.mu.Unlock()
-	p.record(p.AnycastMetrics, e, created)
+	coalesce(p.AnycastCoalesced, e, created)
 	e.once.Do(func() {
 		e.v = p.geolocateAnycastUncached(vantage, addr)
-		if negative(e.v) {
-			if m := p.AnycastMetrics; m != nil {
-				m.NegativeEntries.Inc()
-			}
-		}
 		e.done.Store(true)
 	})
-	if !created && negative(e.v) {
-		if m := p.AnycastMetrics; m != nil {
-			m.NegativeHits.Inc()
-		}
-	}
 	return e.v
 }
 
@@ -188,11 +179,10 @@ func (p *Prober) geolocateAnycastUncached(vantage *world.Country, addr netip.Add
 	return v
 }
 
-// SeedUnicast installs a settled unicast verdict without probing and
-// without touching the cache metrics — how a resumed run replays the
-// verdicts its checkpointed countries already paid for (their cache
-// accounting arrives separately, via the stored deterministic deltas).
-// An existing entry is left untouched, so seeding is idempotent.
+// SeedUnicast installs a settled unicast verdict without probing — how
+// a resumed run prefills the cache with the verdicts its checkpointed
+// countries already paid for. An existing entry is left untouched, so
+// seeding is idempotent.
 func (p *Prober) SeedUnicast(addr netip.Addr, v Verdict) {
 	p.mu.Lock()
 	e := p.unicast[addr]
@@ -224,21 +214,12 @@ func (p *Prober) SeedAnycast(vantage string, addr netip.Addr, v Verdict) {
 	})
 }
 
-// record folds one cache lookup into cm's ledger. Coalesced counts the
-// non-creating lookups that arrived while the probe sequence was still
-// in flight — an interleaving artifact, reported on the runtime side.
-func (p *Prober) record(cm *metrics.CacheMetrics, e *verdictEntry, created bool) {
-	if cm == nil {
-		return
-	}
-	cm.Lookups.Inc()
-	if created {
-		cm.Misses.Inc()
-		return
-	}
-	cm.Hits.Inc()
-	if !e.done.Load() {
-		cm.Coalesced.Inc()
+// coalesce counts a non-creating lookup that arrived while the probe
+// sequence was still in flight — an interleaving artifact, reported on
+// the runtime side.
+func coalesce(c *metrics.Counter, e *verdictEntry, created bool) {
+	if c != nil && !created && !e.done.Load() {
+		c.Inc()
 	}
 }
 
@@ -258,21 +239,11 @@ func (p *Prober) GeolocateUnicast(addr netip.Addr) Verdict {
 		p.unicast[addr] = e
 	}
 	p.mu.Unlock()
-	p.record(p.UnicastMetrics, e, created)
+	coalesce(p.UnicastCoalesced, e, created)
 	e.once.Do(func() {
 		e.v = p.geolocateUnicastUncached(addr)
-		if negative(e.v) {
-			if m := p.UnicastMetrics; m != nil {
-				m.NegativeEntries.Inc()
-			}
-		}
 		e.done.Store(true)
 	})
-	if !created && negative(e.v) {
-		if m := p.UnicastMetrics; m != nil {
-			m.NegativeHits.Inc()
-		}
-	}
 	return e.v
 }
 

@@ -40,7 +40,7 @@ func lgDataset(variant int64, n int) *dataset.Dataset {
 
 func lgSnapshot(t *testing.T, variant int64) *serve.Snapshot {
 	t.Helper()
-	snap, err := serve.NewSnapshot(lgDataset(variant, 80), fmt.Sprintf("test:%d", variant))
+	snap, err := serve.NewSnapshotWorkers(lgDataset(variant, 80), fmt.Sprintf("test:%d", variant), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func testDataset(variant int64, n int) *dataset.Dataset {
 
 func newTestSnapshot(t *testing.T, variant int64, n int) *Snapshot {
 	t.Helper()
-	snap, err := NewSnapshot(testDataset(variant, n), fmt.Sprintf("test:variant=%d", variant))
+	snap, err := NewSnapshotWorkers(testDataset(variant, n), fmt.Sprintf("test:variant=%d", variant), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

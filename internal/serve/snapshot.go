@@ -26,7 +26,7 @@ import (
 // Snapshot is one immutable serving generation: a dataset, the
 // aggregates derived from it, and the responses rendered from those
 // aggregates. Snapshots are safe for unbounded concurrent reads; they
-// are never mutated after NewSnapshot returns (the cache only gains
+// are never mutated after NewSnapshotWorkers returns (the cache only gains
 // entries, under its own lock).
 type Snapshot struct {
 	ds *dataset.Dataset
@@ -51,18 +51,14 @@ type cacheEntry struct {
 	status int
 }
 
-// NewSnapshot freezes ds into a serving snapshot. It fills the
+// NewSnapshotWorkers freezes ds into a serving snapshot. It fills the
 // dataset's derived totals (idempotent) so hand-built datasets serve
 // the same stats a pipeline-produced one would, then derives the
 // version from the canonical export bytes — equal datasets hash to
 // equal versions no matter where they were loaded from.
-func NewSnapshot(ds *dataset.Dataset, desc string) (*Snapshot, error) {
-	return NewSnapshotWorkers(ds, desc, 0)
-}
-
-// NewSnapshotWorkers is NewSnapshot with the analysis index build
-// partitioned across workers goroutines (0 picks the default of 8).
-// The worker count shapes only the build's wall-clock time — the
+//
+// The analysis index build is partitioned across workers goroutines
+// (0 picks the default of 8). The worker count shapes only the build's wall-clock time — the
 // index, and therefore every body this snapshot will ever serve, is
 // byte-identical at any setting — so snapshot builds and /admin/reload
 // swaps complete faster without perturbing a single response.

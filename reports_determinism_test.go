@@ -30,7 +30,7 @@ func TestReportsByteIdenticalAcrossConcurrencyShapes(t *testing.T) {
 	type rendered map[string]string
 	render := func(country, fetch int) rendered {
 		cfg := base
-		cfg.Concurrency = country
+		cfg.CountryConcurrency = country
 		cfg.FetchConcurrency = fetch
 		s, err := Run(context.Background(), cfg)
 		if err != nil {

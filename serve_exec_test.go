@@ -34,7 +34,7 @@ func newLocalListener() (net.Listener, error) {
 // process on a kernel-assigned port, announcing its address on stdout
 // and draining on SIGTERM — the same lifecycle cmd/govserve runs.
 func serveDaemonMain(jsonlPath string) {
-	snap, err := ServeSnapshotFromJSONL(jsonlPath)
+	snap, err := ServeSnapshotFromJSONLWorkers(jsonlPath, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve daemon:", err)
 		os.Exit(1)
@@ -98,7 +98,7 @@ func TestServeDaemonExec(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := ServeSnapshotFromJSONL(path)
+		snap, err := ServeSnapshotFromJSONLWorkers(path, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

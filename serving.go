@@ -16,19 +16,14 @@ func NewServeSnapshot(st *Study, desc string) (*serve.Snapshot, error) {
 	return serve.NewSnapshotWorkers(st.ds, desc, st.cfg.AnalysisWorkers)
 }
 
-// ServeSnapshotFromJSONL loads an exported study file into a serving
-// snapshot. The snapshot's version is a pure function of the file's
-// canonical export bytes, so a client holding the same file computes
-// the same version the daemon will claim.
-func ServeSnapshotFromJSONL(path string) (*serve.Snapshot, error) {
-	return ServeSnapshotFromJSONLWorkers(path, 0)
-}
-
-// ServeSnapshotFromJSONLWorkers is ServeSnapshotFromJSONL with an
-// explicit index-build worker count (0 picks the default of 8). Any
-// value yields byte-identical snapshots; the knob trades only the
-// build's wall-clock time, which is the critical path of daemon
-// startup and /admin/reload.
+// ServeSnapshotFromJSONLWorkers loads an exported study file into a
+// serving snapshot. The snapshot's version is a pure function of the
+// file's canonical export bytes, so a client holding the same file
+// computes the same version the daemon will claim. workers is the
+// index-build worker count (0 picks the default of 8). Any value
+// yields byte-identical snapshots; the knob trades only the build's
+// wall-clock time, which is the critical path of daemon startup and
+// /admin/reload.
 func ServeSnapshotFromJSONLWorkers(path string, workers int) (*serve.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
