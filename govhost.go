@@ -527,19 +527,14 @@ func (s *Study) HTTPSAdoption() HTTPSValidity {
 
 // Load reconstructs a Study from a dataset previously written with
 // ExportJSONL, so saved datasets can be re-analysed — every analysis
-// and report works without re-running the pipeline. Format version 2
-// onward carries the measured per-country statistics verbatim; they
-// are kept, not re-derived (re-deriving from the records clobbered the
-// crawl's coverage accounting — attempts, failures, retries — with
-// lossy approximations). Version 1 files carry records only, so the
-// countable subset is approximated from them.
+// and report works without re-running the pipeline. The measured
+// per-country statistics are kept verbatim, not re-derived from the
+// records, so the crawl's coverage accounting — attempts, failures,
+// retries — survives the round trip.
 func Load(r io.Reader) (*Study, error) {
 	ds, err := export.ReadJSONL(r)
 	if err != nil {
 		return nil, fmt.Errorf("govhost: %w", err)
-	}
-	if len(ds.PerCountry) == 0 {
-		ds.PerCountry = derivedCountryStats(ds)
 	}
 	ds.FillTotals()
 	return &Study{
@@ -547,34 +542,6 @@ func Load(r io.Reader) (*Study, error) {
 		env: core.LoadedEnv(world.New()),
 		ds:  ds,
 	}, nil
-}
-
-// derivedCountryStats approximates per-country statistics from bare
-// records, for version-1 files that did not store them. Coverage
-// fields that only the live crawl knows (attempts, failures, retries)
-// stay zero.
-func derivedCountryStats(ds *dataset.Dataset) map[string]*dataset.CountryStats {
-	perCountry := map[string]*dataset.CountryStats{}
-	hostsByCountry := map[string]map[string]bool{}
-	for i := range ds.Records {
-		rec := &ds.Records[i]
-		st := perCountry[rec.Country]
-		if st == nil {
-			st = &dataset.CountryStats{Country: rec.Country, Region: rec.Region}
-			perCountry[rec.Country] = st
-			hostsByCountry[rec.Country] = map[string]bool{}
-		}
-		if rec.Depth == 0 {
-			st.LandingURLs++
-		} else {
-			st.InternalURLs++
-		}
-		hostsByCountry[rec.Country][rec.Host] = true
-	}
-	for code, st := range perCountry {
-		st.Hostnames = len(hostsByCountry[code])
-	}
-	return perCountry
 }
 
 // ExportJSONL writes the annotated dataset as JSON lines — the

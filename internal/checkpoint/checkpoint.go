@@ -8,8 +8,10 @@
 // A checkpoint directory holds one manifest (the study parameters that
 // must match for stored work to be reusable) and one file per finished
 // country carrying its records, coverage statistics, method tallies,
-// per-hostname resolution outcomes, and the country's directly
-// attributable deterministic metric delta. Records are stored
+// failed hostnames with their lookup counts, and the country's
+// directly attributable deterministic metric delta. A resume only
+// loads: stored countries splice into the dataset as they are, and
+// nothing is replayed into the study's caches. Records are stored
 // pre-category: provider categories depend on the study-global
 // continental span of each ASN, so they are assigned only once every
 // country is in — the resuming run re-derives them, which is exactly
@@ -87,14 +89,14 @@ type Manifest struct {
 }
 
 // HostOutcome records one hostname whose resolution failed, with the
-// failure classification and the number of lookups the country issued
-// for it — both needed to replay the country's share of the shared
-// resolution cache (successful hosts need no separate entry: their
-// outcome and lookup counts are reconstructed from the records).
+// number of lookups the country issued for it — the country's share of
+// the shared resolution cache's negative entries and hits (successful
+// hosts need no separate entry: their lookups are counted from the
+// records). Older files also carry a "failKind" key, which decoding
+// ignores, so they still resume.
 type HostOutcome struct {
-	Host     string `json:"host"`
-	FailKind string `json:"failKind"`
-	Lookups  int64  `json:"lookups,omitempty"`
+	Host    string `json:"host"`
+	Lookups int64  `json:"lookups,omitempty"`
 }
 
 // Country is one finished country's persisted state.
@@ -111,8 +113,8 @@ type Country struct {
 	// until the full study assigns them.
 	Records []dataset.URLRecord `json:"records,omitempty"`
 	// FailedHosts lists the hostnames this country tried to resolve
-	// that failed, with their lookup counts, so a resuming run can seed
-	// the negative cache and derive the cache accounting.
+	// that failed, with their lookup counts, so the assembling run can
+	// derive the resolution cache's accounting.
 	FailedHosts []HostOutcome `json:"failedHosts,omitempty"`
 	// Delta is the country's directly attributable deterministic
 	// metric contribution: its fork registry's counters only —
@@ -529,9 +531,9 @@ func syncDir(dir string) error {
 // and code/filename agreement. A file that fails verification is
 // quarantined — renamed to `.corrupt` — and reported, not fatal: its
 // country re-runs, which is self-healing by construction. Load order
-// does not matter: deltas are additive and cache seeding is a set
-// union. os.ReadDir sorts by filename, so countries arrive in
-// sorted-code order. One record decoder serves the whole load, so
+// does not matter: deltas are additive and the caller assembles
+// countries by code. os.ReadDir sorts by filename, so countries arrive
+// in sorted-code order. One record decoder serves the whole load, so
 // strings repeated across countries are interned once.
 func (s *Store) loadAll() (*LoadResult, error) {
 	entries, err := os.ReadDir(s.dir)

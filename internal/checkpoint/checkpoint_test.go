@@ -27,7 +27,7 @@ func testCountry(code string) Country {
 			URL: "https://a." + strings.ToLower(code) + "/", Host: "a." + strings.ToLower(code),
 			Country: code, IP: netip.MustParseAddr("192.0.2.7"), ASN: 64500,
 		}},
-		FailedHosts: []HostOutcome{{Host: "bad." + strings.ToLower(code), FailKind: "dns", Lookups: 2}},
+		FailedHosts: []HostOutcome{{Host: "bad." + strings.ToLower(code), Lookups: 2}},
 		Delta: metrics.Deterministic{
 			Cache: metrics.CacheCounters{Lookups: 2, Misses: 2},
 		},
@@ -74,7 +74,7 @@ func TestOpenFreshThenResumeRoundTrips(t *testing.T) {
 	if len(got.Records) != 1 || got.Records[0].IP != want.Records[0].IP {
 		t.Fatalf("records diverged: %+v", got.Records)
 	}
-	if len(got.FailedHosts) != 1 || got.FailedHosts[0].FailKind != "dns" || got.FailedHosts[0].Lookups != 2 {
+	if len(got.FailedHosts) != 1 || got.FailedHosts[0].Lookups != 2 {
 		t.Fatalf("failed hosts diverged: %+v", got.FailedHosts)
 	}
 	if got.Delta.Cache.Lookups != 2 {

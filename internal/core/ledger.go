@@ -16,7 +16,7 @@ import (
 // dataset. It is the only place those counters are decided: the caches
 // themselves record nothing deterministic, so a fresh run, a resumed
 // run, a shard worker and a shard assembly all count the same way,
-// whichever process (or checkpoint seed) actually filled each entry.
+// whichever process actually filled each entry.
 //
 // The attribution follows from the caches being single-flight and
 // study-wide:

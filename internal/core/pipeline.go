@@ -174,11 +174,13 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 	sink := newMergeSink(env, ds, store, sinkCodes)
 	var sinkMu sync.Mutex
 
-	// Resume: prefill the shared caches with the stored countries'
-	// outcomes, then hand the owned ones to the sink at their ranks so
-	// fresh countries slot in around them. A sibling shard's country is
-	// seeded but not assembled — its own worker (or the assembly pass)
-	// owns its rank.
+	// Resume: hand the stored countries this run owns to the sink at
+	// their ranks so fresh countries slot in around them. A sibling
+	// shard's country is neither re-run nor assembled — its own worker
+	// (or the assembly pass) owns its rank. The shared caches start
+	// empty: every resolution and verdict is a pure function of the
+	// seeded world and the fault plan, so recomputing one a stored
+	// country already paid for gives the same answer.
 	loadedSet := make(map[string]bool, len(loaded))
 	for i := range loaded {
 		lc := &loaded[i]
@@ -186,10 +188,6 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 			return nil, fmt.Errorf("core: checkpoint holds country %s outside the study set", lc.Code)
 		}
 		loadedSet[lc.Code] = true
-		env.seedFromCheckpoint(lc)
-	}
-	for i := range loaded {
-		lc := &loaded[i]
 		if _, ok := sink.rank[lc.Code]; !ok {
 			continue
 		}
@@ -583,13 +581,12 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		return nil, err
 	}
 
-	// Compaction also tallies each failed hostname's lookups: the kind
-	// is kept raw (pre-rewrite) so a checkpoint replays exactly what
-	// fetch.ClassifyError saw, and the FailOther→FailDNS stats rewrite
-	// below happens identically on fresh and resumed paths.
+	// Compaction also tallies each failed hostname's lookups, the input
+	// sharedLedger needs to count the resolution cache's negative
+	// entries and hits.
 	records := recs[:0]
 	resolved := make(map[string]bool)
-	failed := make(map[string]*checkpoint.HostOutcome)
+	lookups := make(map[string]int64)
 	for i := range recs {
 		host := archive.Entries[candidates[i].idx].Host
 		if errs[i] == nil {
@@ -601,22 +598,16 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		// Unresolvable hostnames drop out of the records, as in any
 		// crawl — but no longer silently: resolution failures are
 		// coverage losses too.
+		lookups[host]++
 		kind := fetch.ClassifyError(errs[i])
-		h := failed[host]
-		if h == nil {
-			h = &checkpoint.HostOutcome{Host: host}
-			failed[host] = h
-		}
-		h.FailKind = string(kind)
-		h.Lookups++
 		if kind == fetch.FailOther {
 			kind = fetch.FailDNS // annotation errors are resolution failures
 		}
 		stats.AddFailure(string(kind))
 	}
 	var failedHosts []checkpoint.HostOutcome
-	for _, h := range failed {
-		failedHosts = append(failedHosts, *h)
+	for host, n := range lookups {
+		failedHosts = append(failedHosts, checkpoint.HostOutcome{Host: host, Lookups: n})
 	}
 	sort.Slice(failedHosts, func(i, j int) bool { return failedHosts[i].Host < failedHosts[j].Host })
 

@@ -67,25 +67,6 @@ func (c *rescache) resolve(host string, fn resolveFunc) (netip.Addr, whois.Recor
 	return e.ip, e.rec, e.err
 }
 
-// seed installs a settled outcome for host without running a
-// resolution — how a resumed run prefills the cache with the
-// resolutions its checkpointed countries already paid for. An existing
-// entry is left untouched, so seeding is idempotent across overlapping
-// checkpoints.
-func (c *rescache) seed(host string, ip netip.Addr, rec whois.Record, err error) {
-	c.mu.Lock()
-	e := c.m[host]
-	if e == nil {
-		e = &resEntry{}
-		c.m[host] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.ip, e.rec, e.err = ip, rec, err
-		e.done.Store(true)
-	})
-}
-
 // size reports how many hostnames (positive or negative) are cached.
 func (c *rescache) size() int {
 	c.mu.Lock()

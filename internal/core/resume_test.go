@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/govclass"
 	"repro/internal/har"
 )
@@ -88,40 +89,93 @@ func resumeRun(t *testing.T, cfg Config, dir string) (jsonl, csv, det []byte) {
 // at the same or a different concurrency shape — must export the very
 // bytes an uninterrupted same-seed run exports, and the deterministic
 // metrics snapshot must match too.
+//
+// A resume starts with empty caches, so the topsites row is the one
+// where the resumed run recomputes resolutions and verdicts the loaded
+// countries already paid for: the re-run topsites geolocate anycast
+// keys the loaded government records use, and SERVFAIL storms leave
+// negative resolution entries behind. One kill and one resume shape
+// keep its runtime bounded.
 func TestKillResumeByteIdentical(t *testing.T) {
-	cfg := chaosConfig() // three countries, aggressive faults
-	wantJSONL, wantCSV, wantDet := baselineArtifacts(t, cfg)
-
-	shapes := []struct{ country, fetch int }{
+	type shape struct{ country, fetch int }
+	shapes := []shape{
 		{1, 1},
 		{3, 16},
 	}
-	for _, killShape := range shapes {
-		for kills := 1; kills <= len(cfg.Countries); kills++ {
-			for _, resumeShape := range shapes {
-				dir := t.TempDir()
-				kcfg := cfg
-				kcfg.CountryConcurrency = killShape.country
-				kcfg.FetchConcurrency = killShape.fetch
-				killAt(t, kcfg, dir, kills)
-
-				rcfg := cfg
-				rcfg.CountryConcurrency = resumeShape.country
-				rcfg.FetchConcurrency = resumeShape.fetch
-				jsonl, csv, det := resumeRun(t, rcfg, dir)
-				tag := "kill@%+v after %d, resume@%+v"
-				if !bytes.Equal(jsonl, wantJSONL) {
-					t.Errorf("JSONL diverged: "+tag, killShape, kills, resumeShape)
+	servfail := chaosConfig()
+	servfail.SkipTopsites = false
+	servfail.FaultProfile = "servfail=0.9"
+	rows := []struct {
+		name                     string
+		cfg                      Config
+		killShapes, resumeShapes []shape
+	}{
+		{"chaos", chaosConfig(), shapes, shapes}, // three countries, aggressive faults
+		{"servfail_topsites", servfail, []shape{{3, 16}}, []shape{{1, 1}}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			ds, _, snap := runWithMetrics(t, cfg)
+			wantJSONL, wantCSV := exportBytes(t, ds)
+			wantDet, err := snap.DeterministicJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cfg.SkipTopsites {
+				if n := sharedAnycastKeys(ds); n == 0 {
+					t.Fatal("no topsite anycast key is shared with a government record; the row tests nothing a loaded country cached")
 				}
-				if !bytes.Equal(csv, wantCSV) {
-					t.Errorf("CSV diverged: "+tag, killShape, kills, resumeShape)
-				}
-				if !bytes.Equal(det, wantDet) {
-					t.Errorf("deterministic metrics diverged: "+tag, killShape, kills, resumeShape)
+				if snap.Deterministic.Cache.NegativeEntries == 0 {
+					t.Fatal("no failed resolution; the row tests no negative cache entry")
 				}
 			}
+			for _, killShape := range row.killShapes {
+				for kills := 1; kills <= len(cfg.Countries); kills++ {
+					for _, resumeShape := range row.resumeShapes {
+						dir := t.TempDir()
+						kcfg := cfg
+						kcfg.CountryConcurrency = killShape.country
+						kcfg.FetchConcurrency = killShape.fetch
+						killAt(t, kcfg, dir, kills)
+
+						rcfg := cfg
+						rcfg.CountryConcurrency = resumeShape.country
+						rcfg.FetchConcurrency = resumeShape.fetch
+						jsonl, csv, det := resumeRun(t, rcfg, dir)
+						tag := "kill@%+v after %d, resume@%+v"
+						if !bytes.Equal(jsonl, wantJSONL) {
+							t.Errorf("JSONL diverged: "+tag, killShape, kills, resumeShape)
+						}
+						if !bytes.Equal(csv, wantCSV) {
+							t.Errorf("CSV diverged: "+tag, killShape, kills, resumeShape)
+						}
+						if !bytes.Equal(det, wantDet) {
+							t.Errorf("deterministic metrics diverged: "+tag, killShape, kills, resumeShape)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// sharedAnycastKeys counts the anycast verdict keys (vantage, address)
+// that both a government record and a topsite record use.
+func sharedAnycastKeys(ds *dataset.Dataset) int {
+	gov := map[anycastKey]bool{}
+	for _, r := range ds.Records {
+		if r.Anycast {
+			gov[anycastKey{r.Country, r.IP}] = true
 		}
 	}
+	shared := map[anycastKey]bool{}
+	for _, r := range ds.Topsites {
+		if k := (anycastKey{r.Country, r.IP}); r.Anycast && gov[k] {
+			shared[k] = true
+		}
+	}
+	return len(shared)
 }
 
 // TestResumeCompletedRun: resuming a directory whose run already

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"net/netip"
 	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
-	"repro/internal/fetch"
 	"repro/internal/govclass"
 	"repro/internal/metrics"
-	"repro/internal/probing"
-	"repro/internal/whois"
 )
 
 // countryDone is one finished country on its way into the merge sink:
@@ -163,46 +159,3 @@ func (s *mergeSink) flush(d *countryDone) error {
 	}
 	return nil
 }
-
-// seedFromCheckpoint prefills the shared caches with one stored
-// country's outcomes: resolutions (positive from the records, negative
-// from the failed-host list) and geolocation verdicts. Seeding records
-// no metric: the caches' counters are derived from the assembled
-// dataset, which does not depend on who filled an entry.
-func (env *Env) seedFromCheckpoint(c *checkpoint.Country) {
-	for i := range c.Records {
-		r := &c.Records[i]
-		env.resolutions.seed(r.Host, r.IP, whois.Record{ASN: r.ASN, Org: r.Org, Country: r.RegCountry}, nil)
-		if env.Config.TrustIPInfo {
-			continue
-		}
-		// IPInfoCountry and MinRTT are not in the record, so the seeded
-		// verdict drops them — nothing downstream of the cache reads
-		// either field.
-		v := probing.Verdict{
-			Addr: r.IP, Anycast: r.Anycast,
-			Country: r.ServeCountry, Method: probing.Method(r.GeoMethod),
-		}
-		if r.Anycast {
-			env.Prober.SeedAnycast(r.Country, r.IP, v)
-		} else {
-			env.Prober.SeedUnicast(r.IP, v)
-		}
-	}
-	for _, h := range c.FailedHosts {
-		env.resolutions.seed(h.Host, netip.Addr{}, whois.Record{}, seededErr{kind: fetch.FailKind(h.FailKind)})
-	}
-}
-
-// seededErr replays a checkpointed resolution failure. It implements
-// fetch.Failure, so fetch.ClassifyError round-trips the stored kind
-// exactly and a resuming country's coverage stats classify the failure
-// the same way the original run did.
-type seededErr struct{ kind fetch.FailKind }
-
-func (e seededErr) Error() string {
-	return "core: resolution failed in checkpointed run (" + string(e.kind) + ")"
-}
-
-// FailKind implements fetch.Failure.
-func (e seededErr) FailKind() fetch.FailKind { return e.kind }

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -240,6 +241,11 @@ func (d *decoder) name() (string, error) {
 			l := int(b)
 			if pos+1+l > len(d.buf) {
 				return "", ErrTruncatedMessage
+			}
+			// The dotted form has no escapes, so a '.' inside a label
+			// would read back as a label boundary.
+			if bytes.IndexByte(d.buf[pos+1:pos+1+l], '.') >= 0 {
+				return "", ErrBadLabel
 			}
 			sb.Write(d.buf[pos+1 : pos+1+l])
 			sb.WriteByte('.')

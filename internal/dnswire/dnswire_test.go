@@ -113,6 +113,13 @@ func TestUnpackRejectsMalformed(t *testing.T) {
 		"short header": {0, 1, 2},
 		// A label claiming 100 bytes with only one available.
 		"bad label length": append([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, 100, 'a'),
+		// "a" followed by a pointer back to itself: every hop is
+		// backwards, yet the name never ends.
+		"pointer loop":    append([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, 1, 'a', 0xC0, 12, 0, 1, 0, 1),
+		"forward pointer": append([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, 0xC0, 18, 0, 1, 0, 1, 1, 'a', 0),
+		"name over 255 bytes": append(append([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0},
+			[]byte(strings.Repeat("\x3f"+strings.Repeat("a", 63), 4))...), 0, 0, 1, 0, 1),
+		"dot in label": append([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, 3, 'a', '.', 'b', 0, 0, 1, 0, 1),
 	}
 	for name, b := range cases {
 		if _, err := Unpack(b); err == nil {

@@ -68,9 +68,14 @@ func (e *encoder) putU32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// putName emits a possibly-compressed domain name.
+// putName emits a possibly-compressed domain name with its bytes as
+// given, so Unpack returns exactly the name that was packed. Names are
+// case-insensitive but case-preserving; callers that want the
+// canonical form pass it (NewQuery does).
 func (e *encoder) putName(name string) error {
-	name = CanonicalName(name)
+	if !strings.HasSuffix(name, ".") {
+		name += "."
+	}
 	if len(name) > 255 {
 		return ErrNameTooLong
 	}

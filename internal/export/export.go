@@ -1,12 +1,13 @@
 // Package export persists and reloads study datasets. The paper makes
 // its dataset "available upon request" (§1); this package defines that
-// interchange format: a JSON-lines stream (one annotated URL record
-// per line, with a header object carrying study metadata and trailing
-// per-country coverage-statistics lines) and a CSV variant for
-// spreadsheet-bound consumers. Round-tripping is lossless for every
-// field the analyses read, so a saved dataset can be re-analysed
-// without re-running the pipeline — including the failure taxonomy a
-// chaos run produces.
+// interchange format: a JSON-lines stream (a header object carrying
+// study metadata, one annotated URL record per line, per-country
+// coverage-statistics lines, and a trailer with the counts) and a CSV
+// variant for spreadsheet-bound consumers. Only the current
+// FormatVersion is read back; no writer produces any other.
+// Round-tripping is lossless for every field the analyses read, so a
+// saved dataset can be re-analysed without re-running the pipeline —
+// including the failure taxonomy a chaos run produces.
 package export
 
 import (
@@ -24,30 +25,24 @@ import (
 	"repro/internal/world"
 )
 
-// FormatVersion identifies the interchange format. Version 3 moved the
-// record/topsite/country counts from the header to a trailing trailer
-// line, so a writer can stream records as they become available
-// without knowing the totals up front — truncation detection now rests
-// on the trailer's presence. Version 2 added per-country coverage
-// statistics lines (kind "country"); version 1 and 2 files still load,
-// with counts checked against their headers.
+// FormatVersion identifies the interchange format, and it is the only
+// version ReadJSONL accepts. The record, topsite and country counts sit
+// in a trailer line after the data, so truncation detection rests on
+// the trailer's presence; per-country coverage statistics are lines of
+// kind "country".
 const FormatVersion = 3
 
-// header is the first line of a JSONL export. The count fields are
-// only written by pre-v3 files; v3 moved them to the trailer.
+// header is the first line of a JSONL export.
 type header struct {
-	Format    string  `json:"format"`
-	Version   int     `json:"version"`
-	Seed      int64   `json:"seed"`
-	Scale     float64 `json:"scale"`
-	Records   int     `json:"records,omitempty"`
-	Topsite   int     `json:"topsites,omitempty"`
-	Countries int     `json:"countries,omitempty"`
+	Format  string  `json:"format"`
+	Version int     `json:"version"`
+	Seed    int64   `json:"seed"`
+	Scale   float64 `json:"scale"`
 }
 
-// trailer is the last line of a v3 JSONL export: the counts a reader
-// checks to detect truncation. A v3 file without a trailer is
-// truncated by definition.
+// trailer is the last line of a JSONL export: the counts a reader
+// checks to detect truncation. A file without a trailer is truncated
+// by definition.
 type trailer struct {
 	Kind      string `json:"kind"` // "trailer"
 	Records   int    `json:"records"`
@@ -133,129 +128,46 @@ func toWire(r *dataset.URLRecord, kind string) jsonRecord {
 	}
 }
 
-// Sink writes a JSONL export incrementally: the header goes out at
-// construction, record batches stream as they arrive (no whole-dataset
-// buffer), per-country statistics are buffered and emitted in sorted
-// code order at Close, and the trailer seals the file. Byte output is
-// a pure function of the data written — interleaving WriteRecords
-// batches differently produces the same bytes as one batch, which is
-// what makes the sink's output identical to WriteJSONL's for the same
-// dataset. Writes after the first error return that error; a Sink is
-// not safe for concurrent use.
-type Sink struct {
-	bw       *bufio.Writer
-	enc      *json.Encoder
-	records  int
-	topsites int
-	stats    []jsonCountryStats
-	closed   bool
-	err      error
-}
-
-// NewSink starts a JSONL export on w with the study metadata header.
-func NewSink(w io.Writer, seed int64, scale float64) (*Sink, error) {
-	bw := bufio.NewWriter(w)
-	s := &Sink{bw: bw, enc: json.NewEncoder(bw)}
-	s.err = s.enc.Encode(header{
-		Format: "govhost-dataset", Version: FormatVersion,
-		Seed: seed, Scale: scale,
-	})
-	if s.err != nil {
-		return nil, s.err
-	}
-	return s, nil
-}
-
-// WriteRecords streams one batch of government records.
-func (s *Sink) WriteRecords(recs []dataset.URLRecord) error {
-	return s.writeBatch(recs, "gov", &s.records)
-}
-
-// WriteTopsites streams one batch of topsite comparison records. The
-// format puts topsites after all government records; the sink trusts
-// the caller's ordering (WriteJSONL and the pipeline both satisfy it).
-func (s *Sink) WriteTopsites(recs []dataset.URLRecord) error {
-	return s.writeBatch(recs, "topsite", &s.topsites)
-}
-
-func (s *Sink) writeBatch(recs []dataset.URLRecord, kind string, n *int) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		s.err = fmt.Errorf("export: write after Close")
-		return s.err
-	}
-	for i := range recs {
-		if s.err = s.enc.Encode(toWire(&recs[i], kind)); s.err != nil {
-			return s.err
-		}
-		*n++
-	}
-	return nil
-}
-
-// WriteCountry buffers one country's coverage statistics; Close emits
-// them in sorted code order so equal datasets serialise to equal bytes
-// regardless of completion order.
-func (s *Sink) WriteCountry(st *dataset.CountryStats) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		s.err = fmt.Errorf("export: write after Close")
-		return s.err
-	}
-	s.stats = append(s.stats, statsToWire(st))
-	return nil
-}
-
-// Close emits the buffered country statistics and the trailer, then
-// flushes. The sink is unusable afterwards.
-func (s *Sink) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	sort.Slice(s.stats, func(i, j int) bool { return s.stats[i].Country < s.stats[j].Country })
-	for i := range s.stats {
-		if s.err = s.enc.Encode(s.stats[i]); s.err != nil {
-			return s.err
-		}
-	}
-	if s.err = s.enc.Encode(trailer{
-		Kind: "trailer", Records: s.records, Topsite: s.topsites, Countries: len(s.stats),
-	}); s.err != nil {
-		return s.err
-	}
-	s.err = s.bw.Flush()
-	return s.err
-}
-
-// WriteJSONL streams the dataset as JSON lines: a header object, one
-// record object per line, then one coverage-statistics object per
-// country in sorted code order, sealed by the trailer (so equal
-// datasets serialise to equal bytes). It is the one-shot form of Sink.
+// WriteJSONL writes the dataset as JSON lines: a header object, one
+// record object per line (government records, then topsites), one
+// coverage-statistics object per country in sorted code order, and
+// the trailer with the counts a reader checks. Output is a pure
+// function of the dataset, so equal datasets serialise to equal bytes.
 func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
-	s, err := NewSink(w, ds.Seed, ds.Scale)
-	if err != nil {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(header{
+		Format: "govhost-dataset", Version: FormatVersion,
+		Seed: ds.Seed, Scale: ds.Scale,
+	}); err != nil {
 		return err
 	}
-	if err := s.WriteRecords(ds.Records); err != nil {
-		return err
-	}
-	if err := s.WriteTopsites(ds.Topsites); err != nil {
-		return err
-	}
-	for _, st := range ds.PerCountry {
-		if err := s.WriteCountry(st); err != nil {
+	for i := range ds.Records {
+		if err := enc.Encode(toWire(&ds.Records[i], "gov")); err != nil {
 			return err
 		}
 	}
-	return s.Close()
+	for i := range ds.Topsites {
+		if err := enc.Encode(toWire(&ds.Topsites[i], "topsite")); err != nil {
+			return err
+		}
+	}
+	codes := make([]string, 0, len(ds.PerCountry))
+	for code := range ds.PerCountry {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	for _, code := range codes {
+		if err := enc.Encode(statsToWire(ds.PerCountry[code])); err != nil {
+			return err
+		}
+	}
+	if err := enc.Encode(trailer{
+		Kind: "trailer", Records: len(ds.Records), Topsite: len(ds.Topsites), Countries: len(codes),
+	}); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // maxLine bounds one JSONL line; URL records are a few hundred bytes,
@@ -274,12 +186,12 @@ func (e *LineError) Error() string { return fmt.Sprintf("export: line %d: %v", e
 func (e *LineError) Unwrap() error { return e.Err }
 
 // ReadJSONL reloads a dataset written by WriteJSONL, including the
-// per-country coverage statistics (absent from version-1 files, which
-// still load). Dataset totals are not part of the interchange format;
-// the caller re-derives what it needs from records and stats. Record
-// lines are decoded in one pass by jsonrec; the rare header, country
-// and trailer lines go through encoding/json. A malformed line is
-// reported as a *LineError.
+// per-country coverage statistics. Dataset totals are not part of the
+// interchange format; the caller re-derives what it needs from records
+// and stats. Record lines are decoded in one pass by jsonrec; the rare
+// header, country and trailer lines go through encoding/json. A
+// malformed line, including a header of any version other than
+// FormatVersion, is reported as a *LineError.
 func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLine)
@@ -298,7 +210,7 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 	if h.Format != "govhost-dataset" {
 		return nil, bad(fmt.Errorf("not a govhost dataset (format %q)", h.Format))
 	}
-	if h.Version < 1 || h.Version > FormatVersion {
+	if h.Version != FormatVersion {
 		return nil, bad(fmt.Errorf("unsupported version %d", h.Version))
 	}
 	ds := &dataset.Dataset{
@@ -351,22 +263,18 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 		line++
 		return nil, bad(err)
 	}
-	wantRecords, wantTopsites, wantCountries := h.Records, h.Topsite, h.Countries
-	if h.Version >= 3 {
-		// v3 carries its counts in the trailer; a missing trailer is the
-		// truncation signal a killed writer leaves behind.
-		if tr == nil {
-			return nil, fmt.Errorf("export: truncated dataset: no trailer")
-		}
-		wantRecords, wantTopsites, wantCountries = tr.Records, tr.Topsite, tr.Countries
+	// A missing trailer is the truncation signal a killed writer leaves
+	// behind.
+	if tr == nil {
+		return nil, fmt.Errorf("export: truncated dataset: no trailer")
 	}
-	if len(ds.Records) != wantRecords || len(ds.Topsites) != wantTopsites {
+	if len(ds.Records) != tr.Records || len(ds.Topsites) != tr.Topsite {
 		return nil, fmt.Errorf("export: truncated dataset: %d/%d records, %d/%d topsites",
-			len(ds.Records), wantRecords, len(ds.Topsites), wantTopsites)
+			len(ds.Records), tr.Records, len(ds.Topsites), tr.Topsite)
 	}
-	if h.Version >= 2 && len(ds.PerCountry) != wantCountries {
+	if len(ds.PerCountry) != tr.Countries {
 		return nil, fmt.Errorf("export: truncated dataset: %d/%d country stats",
-			len(ds.PerCountry), wantCountries)
+			len(ds.PerCountry), tr.Countries)
 	}
 	return ds, nil
 }

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -70,7 +71,7 @@ func TestReadJSONLRejectsForeignFormats(t *testing.T) {
 		"not json":        "garbage\n",
 		"wrong format":    `{"format":"something-else","version":1}` + "\n",
 		"wrong version":   `{"format":"govhost-dataset","version":99}` + "\n",
-		"truncated count": `{"format":"govhost-dataset","version":1,"records":5}` + "\n",
+		"truncated count": `{"format":"govhost-dataset","version":3}` + "\n" + `{"kind":"trailer","records":5,"topsites":0,"countries":0}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
@@ -80,14 +81,16 @@ func TestReadJSONLRejectsForeignFormats(t *testing.T) {
 }
 
 func TestReadJSONLRejectsBadRecords(t *testing.T) {
-	in := `{"format":"govhost-dataset","version":1,"records":1}
+	in := `{"format":"govhost-dataset","version":3}
 {"url":"https://x/","ip":"not-an-ip","category":0,"kind":"gov"}
+{"kind":"trailer","records":1,"topsites":0,"countries":0}
 `
 	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 		t.Fatal("bad IP accepted")
 	}
-	in = `{"format":"govhost-dataset","version":1,"records":1}
+	in = `{"format":"govhost-dataset","version":3}
 {"url":"https://x/","ip":"1.2.3.4","category":99,"kind":"gov"}
+{"kind":"trailer","records":1,"topsites":0,"countries":0}
 `
 	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 		t.Fatal("bad category accepted")
@@ -202,23 +205,23 @@ func TestJSONLStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestReadJSONLAcceptsVersion1: files written before the stats lines
-// existed still load, with empty PerCountry.
-func TestReadJSONLAcceptsVersion1(t *testing.T) {
-	v1 := `{"format":"govhost-dataset","version":1,"seed":1,"scale":0.1,"records":1,"topsites":0}
+// TestReadJSONLRejectsPreV3: no writer produces a version-1 or
+// version-2 file, so their headers are bad lines like any other.
+func TestReadJSONLRejectsPreV3(t *testing.T) {
+	for _, v := range []string{"1", "2"} {
+		in := `{"format":"govhost-dataset","version":` + v + `,"seed":1,"scale":0.1,"records":1,"topsites":0,"countries":0}
 {"url":"https://www.gub.uy/","host":"www.gub.uy","country":"UY","region":"LAC","bytes":1,"depth":0,"ip":"179.27.169.201","asn":6057,"org":"x","regCountry":"UY","category":0,"kind":"gov"}
 `
-	ds, err := ReadJSONL(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Records) != 1 || len(ds.PerCountry) != 0 {
-		t.Fatalf("v1 load: %d records, %d stats", len(ds.Records), len(ds.PerCountry))
+		_, err := ReadJSONL(strings.NewReader(in))
+		var le *LineError
+		if !errors.As(err, &le) || le.Line != 1 {
+			t.Errorf("version %s: err = %v, want a LineError for line 1", v, err)
+		}
 	}
 }
 
-// TestReadJSONLDetectsMissingStats: a v2 header promising more country
-// lines than present is a truncated file.
+// TestReadJSONLDetectsMissingStats: a file cut before its trailer is
+// a truncated file.
 func TestReadJSONLDetectsMissingStats(t *testing.T) {
 	ds := statsDataset()
 	var buf bytes.Buffer
@@ -229,5 +232,34 @@ func TestReadJSONLDetectsMissingStats(t *testing.T) {
 	cut := strings.Join(lines[:len(lines)-1], "\n") + "\n"
 	if _, err := ReadJSONL(strings.NewReader(cut)); err == nil {
 		t.Fatal("stats-truncated file loaded without error")
+	}
+}
+
+// TestReadJSONLRejectsTruncation: a file that stops mid-way (kill
+// during export) has no trailer and must not load as a complete
+// dataset — the trailer carries the completeness proof.
+func TestReadJSONLRejectsTruncation(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, statsDataset()); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	for cut := 1; cut < len(lines); cut++ {
+		truncated := strings.Join(lines[:cut], "\n") + "\n"
+		if _, err := ReadJSONL(strings.NewReader(truncated)); err == nil {
+			t.Errorf("dataset cut after %d/%d lines loaded cleanly", cut, len(lines))
+		}
+	}
+}
+
+func TestReadJSONLRejectsContentAfterTrailer(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, statsDataset()); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"kind":"record"}` + "\n")
+	_, err := ReadJSONL(&buf)
+	if err == nil || !strings.Contains(err.Error(), "after trailer") {
+		t.Fatalf("content after trailer: err = %v", err)
 	}
 }

@@ -80,7 +80,7 @@ func TestReadJSONLLineErrors(t *testing.T) {
 // accepts each one with the reference's exact result.
 func TestReadJSONLAgreesWithReference(t *testing.T) {
 	for name, rec := range agreeingRecords {
-		in := `{"format":"govhost-dataset","version":1,"records":1}` + "\n" + rec + "\n"
+		in := singleRecordExport(rec)
 		got, err := ReadJSONL(strings.NewReader(in))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -95,6 +95,13 @@ func TestReadJSONLAgreesWithReference(t *testing.T) {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got.Records, want.Records)
 		}
 	}
+}
+
+// singleRecordExport wraps one government record line in a header
+// and a trailer counting it.
+func singleRecordExport(rec string) string {
+	return `{"format":"govhost-dataset","version":3}` + "\n" + rec + "\n" +
+		`{"kind":"trailer","records":1,"topsites":0,"countries":0}` + "\n"
 }
 
 var agreeingRecords = map[string]string{
@@ -117,7 +124,7 @@ var agreeingRecords = map[string]string{
 // corpus holds real WriteJSONL output and its truncations.
 func FuzzReadJSONL(f *testing.F) {
 	for _, rec := range agreeingRecords {
-		f.Add([]byte(`{"format":"govhost-dataset","version":1,"records":1}` + "\n" + rec + "\n"))
+		f.Add([]byte(singleRecordExport(rec)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := ReadJSONL(bytes.NewReader(data))

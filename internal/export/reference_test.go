@@ -23,7 +23,17 @@ func readJSONLReference(r io.Reader) (*dataset.Dataset, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("export: empty input")
 	}
-	var h header
+	// The reference also reads the pre-v3 header counts and loads v1 and
+	// v2 files; ReadJSONL accepts only v3, a subset of its inputs.
+	var h struct {
+		Format    string  `json:"format"`
+		Version   int     `json:"version"`
+		Seed      int64   `json:"seed"`
+		Scale     float64 `json:"scale"`
+		Records   int     `json:"records"`
+		Topsite   int     `json:"topsites"`
+		Countries int     `json:"countries"`
+	}
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
 		return nil, fmt.Errorf("export: header: %w", err)
 	}

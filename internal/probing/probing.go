@@ -179,41 +179,6 @@ func (p *Prober) geolocateAnycastUncached(vantage *world.Country, addr netip.Add
 	return v
 }
 
-// SeedUnicast installs a settled unicast verdict without probing — how
-// a resumed run prefills the cache with the verdicts its checkpointed
-// countries already paid for. An existing entry is left untouched, so
-// seeding is idempotent.
-func (p *Prober) SeedUnicast(addr netip.Addr, v Verdict) {
-	p.mu.Lock()
-	e := p.unicast[addr]
-	if e == nil {
-		e = &verdictEntry{}
-		p.unicast[addr] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
-		e.v = v
-		e.done.Store(true)
-	})
-}
-
-// SeedAnycast installs a settled anycast verdict for one
-// (vantage, addr) key; same contract as SeedUnicast.
-func (p *Prober) SeedAnycast(vantage string, addr netip.Addr, v Verdict) {
-	key := anycastKey{vantage: vantage, addr: addr}
-	p.mu.Lock()
-	e := p.anycast[key]
-	if e == nil {
-		e = &verdictEntry{}
-		p.anycast[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
-		e.v = v
-		e.done.Store(true)
-	})
-}
-
 // coalesce counts a non-creating lookup that arrived while the probe
 // sequence was still in flight — an interleaving artifact, reported on
 // the runtime side.

@@ -75,12 +75,13 @@ func (db *DB) Len() int {
 
 // Render produces the RFC 3912-style text response for a record,
 // following RIPE/ARIN conventions closely enough for the parser and
-// for human eyes.
+// for human eyes. The registry is IPv4-only: a record without an IPv4
+// prefix renders without an inetnum line.
 func Render(r Record) string {
 	var b strings.Builder
-	first := r.Prefix.Addr()
-	last := lastAddr(r.Prefix)
-	fmt.Fprintf(&b, "inetnum:        %s - %s\n", first, last)
+	if r.Prefix.Addr().Is4() {
+		fmt.Fprintf(&b, "inetnum:        %s - %s\n", r.Prefix.Addr(), lastAddr(r.Prefix))
+	}
 	fmt.Fprintf(&b, "netname:        %s\n", r.NetName)
 	fmt.Fprintf(&b, "org-name:       %s\n", r.Org)
 	fmt.Fprintf(&b, "country:        %s\n", r.Country)
@@ -141,10 +142,19 @@ func Parse(text string) (Record, error) {
 	return r, nil
 }
 
+// parseRange reads an IPv4 block, as a "first - last" range or in CIDR
+// notation, and returns it masked to its network address.
 func parseRange(v string) (netip.Prefix, error) {
 	firstStr, lastStr, ok := strings.Cut(v, "-")
 	if !ok {
-		return netip.ParsePrefix(strings.TrimSpace(v))
+		p, err := netip.ParsePrefix(strings.TrimSpace(v))
+		if err != nil {
+			return netip.Prefix{}, err
+		}
+		if !p.Addr().Is4() {
+			return netip.Prefix{}, fmt.Errorf("whois: %v is not an IPv4 block", p)
+		}
+		return p.Masked(), nil
 	}
 	first, err := netip.ParseAddr(strings.TrimSpace(firstStr))
 	if err != nil {
@@ -153,6 +163,9 @@ func parseRange(v string) (netip.Prefix, error) {
 	last, err := netip.ParseAddr(strings.TrimSpace(lastStr))
 	if err != nil {
 		return netip.Prefix{}, err
+	}
+	if !first.Is4() || !last.Is4() || last.Less(first) {
+		return netip.Prefix{}, fmt.Errorf("whois: %v - %v is not an IPv4 range", first, last)
 	}
 	// Recover the prefix length from the range width (ranges in this
 	// registry are always CIDR-aligned).
