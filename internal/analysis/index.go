@@ -28,8 +28,8 @@ import (
 // each query to its package-level counterpart, and the worker-sweep
 // test pins the parallel build to the sequential one.
 type Index struct {
-	global   Shares
-	byRegion map[world.Region]Shares
+	global    Shares
+	byRegion  map[world.Region]Shares
 	byCountry map[string]Shares
 
 	globalSplit splitCounts

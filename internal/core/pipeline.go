@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -309,6 +311,8 @@ feed:
 		}
 	}
 
+	sink.assemble()
+
 	if !cfg.SkipTopsites {
 		topStart := runtimeNow()
 		failed, err := env.runTopsites(ctx, ds, pool)
@@ -566,10 +570,19 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	candidates, methods, unusable := classifyEntries(classifier, archive.Entries, landingSet)
 	timings.Classify = runtimeSince(stageStart)
 
+	// Candidates are sorted by URL before annotation, so records come
+	// out in their canonical per-country (Country, URL) order and the
+	// merge sink's concatenation keeps the dataset globally sorted. The
+	// crawl visits each URL once, so URL order is total. Sorting the
+	// 16-byte candidates is far cheaper than sorting the records.
+	slices.SortFunc(candidates, func(a, b candidate) int {
+		return strings.Compare(archive.Entries[a.idx].URL, archive.Entries[b.idx].URL)
+	})
+
 	// Annotation fans out through the same bounded pool as the fetches;
 	// workers write into their own index so assembly order stays the
-	// archive's deterministic order, not completion order. Records are
-	// then compacted in place — the fan-out buffer is the result slice.
+	// sorted candidate order, not completion order. Records are then
+	// compacted in place — the fan-out buffer is the result slice.
 	recs := make([]dataset.URLRecord, len(candidates))
 	errs := make([]error, len(candidates))
 	stageStart = runtimeNow()
@@ -615,10 +628,6 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	stats.Hostnames = len(resolved)
 	stats.Retries = int(retrier.Stats().Retries)
 	discarded := int64(methods[govclass.MethodDiscarded])
-
-	// Records leave runCountry in their canonical per-country order, so
-	// the merge sink's append keeps the dataset globally sorted.
-	dataset.SortRecords(records)
 
 	dpm.RecordCountry(c.Code, metrics.CountryCounters{
 		Attempted:       int64(stats.Attempted),

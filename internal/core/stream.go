@@ -38,9 +38,10 @@ type countryDone struct {
 // (raising the records-in-flight gauge) until every earlier country
 // has flushed; the rank-0 country can never park, so the gauge's
 // high-water mark is strictly below the study's total record count.
-// Flushing appends records (already URL-sorted per country) in sorted
-// country order, so the dataset's record slice leaves the sink in its
-// canonical order without a final global sort.
+// Flushing keeps each country's records (already URL-sorted) in sorted
+// country order, and assemble concatenates them into the dataset with
+// one exact-size allocation, so the record slice leaves the sink in its
+// canonical order without a final global sort or a regrow per country.
 //
 // When a checkpoint store is attached, each fresh flush also persists
 // the country together with its deterministic delta and its failed
@@ -54,6 +55,10 @@ type mergeSink struct {
 	rank    map[string]int
 	pending []*countryDone
 	next    int
+
+	// parts holds the flushed countries' record slices in flush order
+	// until assemble concatenates them.
+	parts [][]dataset.URLRecord
 
 	// failed collects the flushed countries' failed resolutions —
 	// sharedLedger's input beside the records.
@@ -117,6 +122,21 @@ func (s *mergeSink) drain() error {
 	return nil
 }
 
+// assemble concatenates the flushed countries' records, in flush
+// order, into the dataset's record slice with one allocation. Call it
+// once, after the last flush.
+func (s *mergeSink) assemble() {
+	n := 0
+	for _, p := range s.parts {
+		n += len(p)
+	}
+	s.ds.Records = make([]dataset.URLRecord, 0, n)
+	for _, p := range s.parts {
+		s.ds.Records = append(s.ds.Records, p...)
+	}
+	s.parts = nil
+}
+
 // flush applies one country to the dataset, absorbs its deterministic
 // delta into the study registry, and — for fresh countries with a
 // store attached — persists it. Fresh and reloaded countries enter the
@@ -127,7 +147,7 @@ func (s *mergeSink) flush(d *countryDone) error {
 	if d.parked {
 		s.env.pipelineMetrics().RecordsInFlight(-int64(len(d.records)))
 	}
-	s.ds.Records = append(s.ds.Records, d.records...)
+	s.parts = append(s.parts, d.records)
 	s.ds.PerCountry[d.code] = d.stats
 	s.ds.MethodTLD += d.methods[govclass.MethodTLD]
 	s.ds.MethodDomain += d.methods[govclass.MethodDomain]

@@ -141,6 +141,7 @@ func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, e
 		// New links go straight into seen (one map touch per link);
 		// admitLevel evicts the tail again if the cap cuts the level.
 		var next []task
+		archive.Entries = slices.Grow(archive.Entries, len(frontier))
 		for i := range results {
 			if !results[i].ok {
 				continue

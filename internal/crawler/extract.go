@@ -1,8 +1,16 @@
 package crawler
 
 import (
+	"bytes"
 	"net/url"
 	"strings"
+
+	"repro/internal/har"
+)
+
+var (
+	hrefAttr = []byte("href=")
+	srcAttr  = []byte("src=")
 )
 
 // ExtractLinks scans an HTML document for href/src attribute values
@@ -10,7 +18,8 @@ import (
 // scanner rather than a full HTML parser: it understands quoted
 // attributes, skips fragments, javascript: and mailto: pseudo-links,
 // and deduplicates while preserving first-seen order — all the crawler
-// needs from Selenium-captured pages.
+// needs from Selenium-captured pages. Each attribute value is copied
+// out of body once, so a returned link never keeps the body alive.
 func ExtractLinks(base string, body []byte) []string {
 	baseURL, err := url.Parse(base)
 	if err != nil {
@@ -18,11 +27,10 @@ func ExtractLinks(base string, body []byte) []string {
 	}
 	var out []string
 	seen := make(map[string]bool)
-	s := string(body)
-	for i := 0; i < len(s); {
+	for i := 0; i < len(body); {
 		// Find the next href= or src= attribute.
-		hi := strings.Index(s[i:], "href=")
-		si := strings.Index(s[i:], "src=")
+		hi := bytes.Index(body[i:], hrefAttr)
+		si := bytes.Index(body[i:], srcAttr)
 		var at, skip int
 		switch {
 		case hi < 0 && si < 0:
@@ -33,18 +41,18 @@ func ExtractLinks(base string, body []byte) []string {
 			at, skip = i+si, 4
 		}
 		i = at + skip
-		if i >= len(s) {
+		if i >= len(body) {
 			return out
 		}
-		quote := s[i]
+		quote := body[i]
 		if quote != '"' && quote != '\'' {
 			continue
 		}
-		end := strings.IndexByte(s[i+1:], quote)
+		end := bytes.IndexByte(body[i+1:], quote)
 		if end < 0 {
 			return out
 		}
-		raw := s[i+1 : i+1+end]
+		raw := string(body[i+1 : i+1+end])
 		i += end + 2
 		link := cleanLink(baseURL, raw)
 		if link != "" && !seen[link] {
@@ -55,10 +63,17 @@ func ExtractLinks(base string, body []byte) []string {
 	return out
 }
 
+// cleanLink resolves one attribute value against base, returning "" for
+// values the crawl does not follow. A URL already in the form net/url
+// prints resolves to itself and is returned as is; every other value
+// goes through net/url.
 func cleanLink(base *url.URL, raw string) string {
 	raw = strings.TrimSpace(raw)
 	if raw == "" || strings.HasPrefix(raw, "#") {
 		return ""
+	}
+	if _, _, ok := har.SplitCanonical(raw); ok {
+		return raw
 	}
 	lower := strings.ToLower(raw)
 	for _, scheme := range []string{"javascript:", "mailto:", "tel:", "data:"} {

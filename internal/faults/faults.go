@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/fetch"
+	"repro/internal/har"
 )
 
 // Kind names one injectable fault.
@@ -281,7 +282,9 @@ func (p *Plan) EgressFlap(country string, attempt int) bool {
 // deadline expiry.
 type TimeoutError struct{ Host string }
 
-func (e *TimeoutError) Error() string   { return fmt.Sprintf("faults: %s: i/o timeout (injected)", e.Host) }
+func (e *TimeoutError) Error() string {
+	return fmt.Sprintf("faults: %s: i/o timeout (injected)", e.Host)
+}
 func (e *TimeoutError) Timeout() bool   { return true }
 func (e *TimeoutError) Temporary() bool { return true }
 
@@ -299,13 +302,18 @@ func (e *ResetError) Unwrap() error { return syscall.ECONNRESET }
 // is nonetheless transient, like a lame upstream.
 type ServfailError struct{ Host string }
 
-func (e *ServfailError) Error() string            { return fmt.Sprintf("faults: SERVFAIL for %s (injected)", e.Host) }
+func (e *ServfailError) Error() string {
+	return fmt.Sprintf("faults: SERVFAIL for %s (injected)", e.Host)
+}
 func (e *ServfailError) FailKind() fetch.FailKind { return fetch.FailDNS }
 func (e *ServfailError) Transient() bool          { return true }
 
 // hostOf extracts the hostname a fault plan keys on; unparseable URLs
 // fault as their raw string.
 func hostOf(raw string) string {
+	if host, _, ok := har.SplitCanonical(raw); ok {
+		return host
+	}
 	if u, err := url.Parse(raw); err == nil && u.Hostname() != "" {
 		return u.Hostname()
 	}

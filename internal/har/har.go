@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/url"
 	"sort"
+	"strings"
 )
 
 // Entry is one captured request/response pair.
@@ -114,9 +115,57 @@ func ReadJSON(r io.Reader) (*Archive, error) {
 
 // HostOf extracts the hostname of a URL, or "" when unparseable.
 func HostOf(raw string) string {
+	if host, _, ok := SplitCanonical(raw); ok {
+		return host
+	}
 	u, err := url.Parse(raw)
 	if err != nil {
 		return ""
 	}
 	return u.Hostname()
+}
+
+// SplitCanonical splits an http(s) URL into its host and path when the
+// URL is already in the form net/url prints: a lower-case scheme, a
+// host of [a-z0-9.-], and a non-empty path of unreserved characters
+// and '/' in which no segment is empty or starts with a dot. A query,
+// fragment, port, userinfo or percent-escape rules the URL out. For an
+// accepted URL, url.Parse(raw).String() == raw, host equals its
+// Hostname() and path its Path, so callers may skip net/url; ok is
+// false for every other URL, and those go through net/url.
+func SplitCanonical(raw string) (host, path string, ok bool) {
+	var rest string
+	switch {
+	case strings.HasPrefix(raw, "https://"):
+		rest = raw[len("https://"):]
+	case strings.HasPrefix(raw, "http://"):
+		rest = raw[len("http://"):]
+	default:
+		return "", "", false
+	}
+	slash := strings.IndexByte(rest, '/')
+	if slash <= 0 {
+		return "", "", false
+	}
+	host, path = rest[:slash], rest[slash:]
+	for i := 0; i < len(host); i++ {
+		if c := host[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return "", "", false
+		}
+	}
+	for i := 0; i < len(path); i++ {
+		switch c := path[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '.', c == '_', c == '~':
+		case c == '/':
+			// "//", "/." and "/.." are segments net/url's reference
+			// resolution would rewrite.
+			if i+1 < len(path) && (path[i+1] == '/' || path[i+1] == '.') {
+				return "", "", false
+			}
+		default:
+			return "", "", false
+		}
+	}
+	return host, path, true
 }

@@ -74,3 +74,43 @@ func TestHostOf(t *testing.T) {
 		}
 	}
 }
+
+func TestSplitCanonical(t *testing.T) {
+	accepted := map[string][2]string{
+		"https://www.gub.uy/":                 {"www.gub.uy", "/"},
+		"http://finance.gov.br/l1/page-0":     {"finance.gov.br", "/l1/page-0"},
+		"https://cdn-1.example.com/a/B_c~.js": {"cdn-1.example.com", "/a/B_c~.js"},
+	}
+	for in, want := range accepted {
+		host, path, ok := SplitCanonical(in)
+		if !ok || host != want[0] || path != want[1] {
+			t.Errorf("SplitCanonical(%q) = %q, %q, %v; want %q, %q, true", in, host, path, ok, want[0], want[1])
+		}
+	}
+	for _, in := range []string{
+		"HTTPS://www.gub.uy/", "https://WWW.gub.uy/", "https://www.gub.uy",
+		"https://www.gub.uy/a%2Fb", "https://www.gub.uy/a/./b", "https://www.gub.uy/a/../b",
+		"https://www.gub.uy//a", "https://www.gub.uy/?q", "https://www.gub.uy/#f",
+		"https://www.gub.uy:443/", "https://user@www.gub.uy/", "https://[::1]/",
+		"ftp://www.gub.uy/", "/relative/path", "https:///path",
+	} {
+		if host, path, ok := SplitCanonical(in); ok {
+			t.Errorf("SplitCanonical(%q) = %q, %q, true; want the net/url fallback", in, host, path)
+		}
+	}
+}
+
+// TestHostOfCanonicalAllocatesNothing pins the crawl's per-URL host
+// lookup: a canonical URL's host is a substring of the URL, so no
+// net/url parse and no allocation is needed.
+func TestHostOfCanonicalAllocatesNothing(t *testing.T) {
+	raw := "https://finance.gov.br/l1/page-0"
+	allocs := testing.AllocsPerRun(100, func() {
+		if HostOf(raw) != "finance.gov.br" {
+			t.Fatal("wrong host")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("HostOf on a canonical URL allocates %.0f objects, budget 0", allocs)
+	}
+}

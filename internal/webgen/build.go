@@ -625,8 +625,6 @@ func (g *generator) buildSANOnly(c *world.Country, prof *world.Profile, budget i
 
 // buildPages generates each host's page tree and wires cross-links.
 func (g *generator) buildPages(c *world.Country, plans []*hostPlan, sanSites []*Site, r *rand.Rand) {
-	prof := g.profiles[c.Code]
-	_ = prof
 	for pi, plan := range plans {
 		site := plan.site
 		root := &Page{Path: "/", Depth: 0, ContentType: "text/html",
