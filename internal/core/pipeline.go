@@ -531,6 +531,13 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		return &countryDone{code: c.Code, stats: stats}, nil
 	}
 
+	// The country's page trees and certificates are built on its first
+	// crawl, not in NewEnv; building here, before any fetch, times the
+	// build on its own.
+	stageStart = runtimeNow()
+	env.Estate.BuildCountry(c.Code)
+	timings.Estate = runtimeSince(stageStart)
+
 	retrier := env.fetchStack(vp.Fetcher, pool, fm, fam)
 	cr := &crawler.Crawler{
 		Fetcher: retrier,
@@ -640,6 +647,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	}, false, stats.Failures)
 	pm.RecordCountryTimings(c.Code, timings)
 	pm.ObserveStage("vantage", timings.Vantage)
+	pm.ObserveStage("estate", timings.Estate)
 	pm.ObserveStage("crawl", timings.Crawl)
 	pm.ObserveStage("classify", timings.Classify)
 	pm.ObserveStage("annotate", timings.Annotate)

@@ -63,8 +63,9 @@ func Build(e *webgen.Estate, n *netsim.Net) *Zones {
 		} else {
 			z.a[s.Host] = s.Endpoint.Addr
 		}
-		// www. aliases for landing sites point at the apex.
-		if s.Cert != nil {
+		// www. aliases for landing sites point at the apex. Landing,
+		// unlike Cert, is set before the country's pages are built.
+		if len(s.Landing) > 0 {
 			z.cname["www."+s.Host] = s.Host
 		}
 	}

@@ -44,6 +44,7 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/geo":        true,
 	"repro/internal/probing":    true, // verdicts and the verdict caches feed golden Table 4
 	"repro/internal/netsim":     true, // ping geometry memo must preserve bit-identical RTTs
+	"repro/internal/tlssim":     true, // SAN lookups must not depend on the order certificates were put
 }
 
 // goAllowedPkgs may start goroutines directly: the scheduler itself,

@@ -533,9 +533,12 @@ type CountryCounters struct {
 	VantageAttempts int64 // VPN connections to obtain a validated egress
 }
 
-// CountryTimings is one country's wall-clock stage durations.
+// CountryTimings is one country's wall-clock stage durations. Estate
+// is the build of the country's page trees and certificates; it is 0
+// for countries loaded from a checkpoint, which never build them.
 type CountryTimings struct {
 	Vantage  time.Duration
+	Estate   time.Duration
 	Crawl    time.Duration
 	Classify time.Duration
 	Annotate time.Duration

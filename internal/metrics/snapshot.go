@@ -371,8 +371,8 @@ func (s Snapshot) Text() string {
 		b.WriteString("\nper-country stage timings\n")
 		for _, code := range sortedKeys(rt.Countries) {
 			t := rt.Countries[code]
-			fmt.Fprintf(&b, "  %-3s vantage=%v crawl=%v classify=%v annotate=%v\n",
-				code, t.Vantage, t.Crawl, t.Classify, t.Annotate)
+			fmt.Fprintf(&b, "  %-3s vantage=%v estate=%v crawl=%v classify=%v annotate=%v\n",
+				code, t.Vantage, t.Estate, t.Crawl, t.Classify, t.Annotate)
 		}
 	}
 	return b.String()

@@ -40,36 +40,54 @@ type Certificate struct {
 type Store struct {
 	mu    sync.RWMutex
 	certs map[string]*Certificate
+	// bySAN answers SAN lookups: for each SAN, the certificate with
+	// the smallest Subject among those listing it, so the answer does
+	// not depend on the order certificates were put.
+	bySAN map[string]*Certificate
 }
 
 // NewStore returns an empty certificate store.
 func NewStore() *Store {
-	return &Store{certs: make(map[string]*Certificate)}
+	return &Store{certs: make(map[string]*Certificate), bySAN: make(map[string]*Certificate)}
 }
 
-// Put registers a certificate for its subject hostname.
+// Put registers a certificate for its subject hostname, replacing any
+// earlier certificate for the same subject.
 func (s *Store) Put(c *Certificate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	_, replaced := s.certs[c.Subject]
 	s.certs[c.Subject] = c
+	if !replaced {
+		s.index(c)
+		return
+	}
+	// The replaced certificate may still win SANs it no longer lists.
+	s.bySAN = make(map[string]*Certificate, len(s.bySAN))
+	for _, subj := range s.subjects() {
+		s.index(s.certs[subj])
+	}
+}
+
+// index enters c's SANs into bySAN; the caller holds the write lock.
+func (s *Store) index(c *Certificate) {
+	for _, san := range c.SANs {
+		if cur := s.bySAN[san]; cur == nil || c.Subject < cur.Subject {
+			s.bySAN[san] = c
+		}
+	}
 }
 
 // Get returns the certificate served for hostname: an exact subject
-// match, or any certificate listing the hostname as a SAN.
+// match, else the certificate with the smallest subject among those
+// listing the hostname as a SAN.
 func (s *Store) Get(hostname string) *Certificate {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if c, ok := s.certs[hostname]; ok {
 		return c
 	}
-	for _, c := range s.certs {
-		for _, san := range c.SANs {
-			if san == hostname {
-				return c
-			}
-		}
-	}
-	return nil
+	return s.bySAN[hostname]
 }
 
 // Len returns the number of stored certificates.
@@ -83,6 +101,10 @@ func (s *Store) Len() int {
 func (s *Store) Subjects() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.subjects()
+}
+
+func (s *Store) subjects() []string {
 	out := make([]string, 0, len(s.certs))
 	for k := range s.certs {
 		out = append(out, k)
@@ -92,16 +114,14 @@ func (s *Store) Subjects() []string {
 }
 
 // SANUniverse returns the set of every hostname that appears in any
-// SAN list; the §3.3 SAN-matching step checks internal hostnames
-// against this set.
+// SAN list, mapped to the subject Get would answer with; the §3.3
+// SAN-matching step checks internal hostnames against this set.
 func (s *Store) SANUniverse() map[string]string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]string)
-	for subj, c := range s.certs {
-		for _, san := range c.SANs {
-			out[san] = subj
-		}
+	out := make(map[string]string, len(s.bySAN))
+	for san, c := range s.bySAN {
+		out[san] = c.Subject
 	}
 	return out
 }

@@ -39,6 +39,42 @@ func TestSANUniverse(t *testing.T) {
 	}
 }
 
+// TestSANLookupTieIndependentOfPutOrder: two certificates listing the
+// same SAN host (a SAN-only affiliate shared by two landing sites) must
+// answer Get and SANUniverse with the smaller subject whichever was put
+// first.
+func TestSANLookupTieIndependentOfPutOrder(t *testing.T) {
+	a := &Certificate{Subject: "a.gov", SANs: []string{"a.gov", "shared-affiliate.com"}}
+	b := &Certificate{Subject: "b.gov", SANs: []string{"b.gov", "shared-affiliate.com"}}
+	for _, order := range [][]*Certificate{{a, b}, {b, a}} {
+		s := NewStore()
+		for _, c := range order {
+			s.Put(c)
+		}
+		if c := s.Get("shared-affiliate.com"); c != a {
+			t.Fatalf("put order %s,%s: Get = %v, want a.gov", order[0].Subject, order[1].Subject, c)
+		}
+		if got := s.SANUniverse()["shared-affiliate.com"]; got != "a.gov" {
+			t.Fatalf("put order %s,%s: SANUniverse = %q, want a.gov", order[0].Subject, order[1].Subject, got)
+		}
+	}
+}
+
+// TestPutReplacementDropsStaleSANs: re-putting a subject without a SAN
+// hands the SAN to the next certificate that still lists it.
+func TestPutReplacementDropsStaleSANs(t *testing.T) {
+	s := NewStore()
+	s.Put(&Certificate{Subject: "a.gov", SANs: []string{"a.gov", "shared-affiliate.com"}})
+	s.Put(&Certificate{Subject: "b.gov", SANs: []string{"b.gov", "shared-affiliate.com"}})
+	s.Put(&Certificate{Subject: "a.gov", SANs: []string{"a.gov"}})
+	if c := s.Get("shared-affiliate.com"); c == nil || c.Subject != "b.gov" {
+		t.Fatalf("Get after replacement = %v, want b.gov", c)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Len())
+	}
+}
+
 func TestSubjectsSorted(t *testing.T) {
 	s := NewStore()
 	s.Put(&Certificate{Subject: "z.gov"})

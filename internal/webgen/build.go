@@ -34,7 +34,10 @@ var resourceExts = []struct {
 	{"woff2", "font/woff2", 30_000},
 }
 
-// Build generates the synthetic web for every panel country.
+// Build generates the synthetic web for every panel country. The
+// cross-country plan — host plans, endpoints, provider load, SAN-only
+// affiliates and landing URLs — is built here; each country's page
+// trees and certificates wait for its first use (Estate.BuildCountry).
 func Build(w *world.Model, net *netsim.Net, profiles map[string]*world.Profile, seed int64, scale float64) *Estate {
 	if scale <= 0 {
 		scale = 1
@@ -48,6 +51,7 @@ func Build(w *world.Model, net *netsim.Net, profiles map[string]*world.Profile, 
 		LandingURLs: make(map[string][]string),
 		Topsites:    make(map[string][]*Site),
 		Scale:       scale,
+		builds:      make(map[string]*countryBuild),
 	}
 	g := &generator{e: e, w: w, net: net, profiles: profiles, seed: seed}
 	g.buildContractors()
@@ -300,12 +304,23 @@ func (g *generator) buildCountry(c *world.Country) {
 	sanBudget := int(math.Round(float64(nInternal) * 0.003))
 	sanSites := g.buildSANOnly(c, prof, sanBudget, r)
 
-	g.buildPages(c, plans, sanSites, r)
-	g.buildCerts(c, plans, sanSites, r)
-
+	// Landing URLs depend only on the plan: the root, then one portal
+	// path per extra landing. Pages and certificates continue r later.
 	for _, p := range plans {
-		g.e.LandingURLs[c.Code] = append(g.e.LandingURLs[c.Code], p.site.Landing...)
+		site := p.site
+		if p.landings > 0 {
+			site.Landing = append(site.Landing, site.URL("/"))
+		}
+		for l := 1; l < p.landings; l++ {
+			site.Landing = append(site.Landing, site.URL(fmt.Sprintf("/portal-%d", l)))
+		}
+		g.e.LandingURLs[c.Code] = append(g.e.LandingURLs[c.Code], site.Landing...)
 	}
+	b := &countryBuild{g: g, plans: plans, sanSites: sanSites, r: r}
+	for _, s := range g.e.ByCountry[c.Code] {
+		s.build = b
+	}
+	g.e.builds[c.Code] = b
 }
 
 // planHosts allocates hostnames, kinds and serving endpoints. The last
@@ -624,18 +639,16 @@ func (g *generator) buildSANOnly(c *world.Country, prof *world.Profile, budget i
 }
 
 // buildPages generates each host's page tree and wires cross-links.
-func (g *generator) buildPages(c *world.Country, plans []*hostPlan, sanSites []*Site, r *rand.Rand) {
+// Besides the plans and r it reads only g.contractors and the
+// SAN-only sites' paths, all fixed before any country's pages exist.
+func (g *generator) buildPages(plans []*hostPlan, sanSites []*Site, r *rand.Rand) {
 	for pi, plan := range plans {
 		site := plan.site
 		root := &Page{Path: "/", Depth: 0, ContentType: "text/html",
 			Size: sizeFor(site, "text/html", 70_000, r)}
 		site.Pages["/"] = root
-		if plan.landings > 0 {
-			site.Landing = append(site.Landing, site.URL("/"))
-		}
 		for l := 1; l < plan.landings; l++ {
 			path := fmt.Sprintf("/portal-%d", l)
-			site.Landing = append(site.Landing, site.URL(path))
 			site.Pages[path] = &Page{Path: path, Depth: 0, ContentType: "text/html",
 				Size: sizeFor(site, "text/html", 70_000, r)}
 		}
@@ -706,7 +719,7 @@ func (g *generator) buildPages(c *world.Country, plans []*hostPlan, sanSites []*
 // Certificate validity follows the country's digital development:
 // Singanamalla et al. find over 70 % of government sites worldwide
 // lack valid HTTPS, with adoption tracking e-government maturity.
-func (g *generator) buildCerts(c *world.Country, plans []*hostPlan, sanSites []*Site, r *rand.Rand) {
+func (g *generator) buildCerts(plans []*hostPlan, sanSites []*Site, r *rand.Rand) {
 	invalidReasons := []string{"expired", "self-signed", "hostname-mismatch", "incomplete-chain"}
 	for pi, plan := range plans {
 		if plan.landings == 0 {

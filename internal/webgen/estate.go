@@ -9,8 +9,11 @@ package webgen
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/tlssim"
@@ -90,6 +93,10 @@ type Site struct {
 	// byteBoost tilts this site's body sizes so that per-category byte
 	// shares reproduce the owning country's MixBytes profile.
 	byteBoost float64
+
+	// build is the owning country's deferred page and certificate
+	// build; nil for topsites and contractors, which are built whole.
+	build *countryBuild
 }
 
 // URL returns the absolute URL of a path on this site.
@@ -113,7 +120,9 @@ func (s *Site) SortedPaths() []string {
 	return out
 }
 
-// Estate is the whole synthetic web.
+// Estate is the whole synthetic web. A country's page trees and
+// certificates exist once BuildCountry has run for it, which Site and
+// GovSites do first; read them through those, not the maps below.
 type Estate struct {
 	World *world.Model
 	Net   *netsim.Net
@@ -131,17 +140,86 @@ type Estate struct {
 	Topsites map[string][]*Site
 
 	Scale float64
+
+	// builds holds each country's deferred page-tree and certificate
+	// build, run once on first use; the map is read-only after Build.
+	builds map[string]*countryBuild
 }
 
-// Site returns the site for a hostname, or nil.
-func (e *Estate) Site(host string) *Site { return e.Sites[host] }
+// countryBuild is one country's deferred half of the generator: the
+// page trees and certificates, drawn from the rest of the country's
+// own stream after its host plan.
+type countryBuild struct {
+	once     sync.Once
+	done     atomic.Bool
+	g        *generator
+	plans    []*hostPlan
+	sanSites []*Site
+	r        *rand.Rand
+}
+
+func (b *countryBuild) run() {
+	b.once.Do(func() {
+		b.g.buildPages(b.plans, b.sanSites, b.r)
+		b.g.buildCerts(b.plans, b.sanSites, b.r)
+		b.plans, b.sanSites, b.r = nil, nil, nil
+		b.done.Store(true)
+	})
+}
+
+// Site returns the site for a hostname, or nil. A government, SOE or
+// SAN-only site comes back with its country's page trees and
+// certificates built; topsites and contractors never trigger a build.
+func (e *Estate) Site(host string) *Site {
+	s := e.Sites[host]
+	if s != nil && s.build != nil {
+		s.build.run()
+	}
+	return s
+}
 
 // GovSites returns the government-owned sites (gov, SOE, SAN-only) of
-// a country.
-func (e *Estate) GovSites(country string) []*Site { return e.ByCountry[country] }
+// a country, with the country's page trees and certificates built.
+func (e *Estate) GovSites(country string) []*Site {
+	e.BuildCountry(country)
+	return e.ByCountry[country]
+}
 
-// TotalPages counts pages across all sites.
+// BuildCountry builds a country's page trees and certificates unless
+// they are built already. Concurrent callers wait for the one build.
+// Building is deferred to first use so that a run which crawls only
+// some countries (or none, on resume) generates only their webs; the
+// build continues the country's own seeded stream, so when and in
+// which order countries are built changes no byte.
+func (e *Estate) BuildCountry(code string) {
+	if b := e.builds[code]; b != nil {
+		b.run()
+	}
+}
+
+// BuiltCountries returns the codes of the countries whose page trees
+// are built, sorted.
+func (e *Estate) BuiltCountries() []string {
+	var out []string
+	for code, b := range e.builds {
+		if b.done.Load() {
+			out = append(out, code)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// buildAll builds every country in panel order.
+func (e *Estate) buildAll() {
+	for _, c := range e.World.Panel() {
+		e.BuildCountry(c.Code)
+	}
+}
+
+// TotalPages counts pages across all sites, building every country.
 func (e *Estate) TotalPages() int {
+	e.buildAll()
 	n := 0
 	for _, s := range e.SiteList {
 		n += len(s.Pages)

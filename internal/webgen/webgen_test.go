@@ -15,7 +15,9 @@ func buildEstate(t testing.TB, scale float64) *Estate {
 	w := world.New()
 	net := netsim.Build(w, 42)
 	profiles := world.BuildProfiles(w, 42)
-	return Build(w, net, profiles, 42, scale)
+	e := Build(w, net, profiles, 42, scale)
+	e.buildAll()
+	return e
 }
 
 func TestBuildDeterministic(t *testing.T) {

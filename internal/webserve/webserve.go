@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -108,6 +109,11 @@ func (s *Server) certificateFor(hello *tls.ClientHelloInfo) (*tls.Certificate, e
 	}
 	if c, ok := s.certCache[name]; ok {
 		return c, nil
+	}
+	// Certificates exist once their country is built: resolve the
+	// name's site (or the apex of a www. alias) through the estate.
+	if s.Estate.Site(name) == nil {
+		s.Estate.Site(strings.TrimPrefix(name, "www."))
 	}
 	rec := s.Estate.Certs.Get(name)
 	if rec == nil {

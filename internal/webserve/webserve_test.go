@@ -1,10 +1,51 @@
 package webserve
 
 import (
+	"crypto/tls"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/webgen"
+	"repro/internal/world"
 )
+
+// TestCertificateForBuildsTheCountry: SNI names of a country whose
+// pages are not built yet — a landing host, its www. alias and a
+// SAN-only affiliate — must still find their certificate, building
+// that country and no other.
+func TestCertificateForBuildsTheCountry(t *testing.T) {
+	w := world.New()
+	e := webgen.Build(w, netsim.Build(w, 42), world.BuildProfiles(w, 42), 42, 0.02)
+	var san *webgen.Site
+	for _, site := range e.SiteList {
+		if site.Kind == webgen.KindSANOnly {
+			san = site
+			break
+		}
+	}
+	if san == nil {
+		t.Fatal("no SAN-only site at this scale")
+	}
+	var landing string
+	for _, site := range e.ByCountry[san.Country] {
+		if len(site.Landing) > 0 {
+			landing = site.Host
+			break
+		}
+	}
+	s := &Server{Estate: e}
+	for _, name := range []string{san.Host, "www." + landing, landing} {
+		if _, err := s.certificateFor(&tls.ClientHelloInfo{ServerName: name}); err != nil {
+			t.Fatalf("SNI %s: %v", name, err)
+		}
+	}
+	if built := e.BuiltCountries(); !slices.Equal(built, []string{san.Country}) {
+		t.Fatalf("built %v, want [%s]", built, san.Country)
+	}
+}
 
 // TestCloseReportsServeFailure: a Serve loop that dies after startup
 // (here: its listener closed out from under it) must surface from
