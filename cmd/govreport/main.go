@@ -154,8 +154,8 @@ suite asserts this across a kill × corruption × {1,2,4}-shard matrix.
 `
 
 // servingWalkthrough is the always-on companion: the govserve daemon,
-// its reload semantics and the seeded load harness, all of which the
-// serve chaos/exec/loadgen suites assert.
+// its reload semantics and how it is load-tested, all of which the
+// serve chaos and exec suites and bench's serve workloads assert.
 const servingWalkthrough = `## Operations — serving the analysis under load
 
 A finished study does not have to be re-run (or even re-loaded) per
@@ -197,25 +197,26 @@ What the guarantees cover:
   and the 304s are counted separately in /metrics
   (serve.not_modified).
 
-The same binary is the load harness. It plans a seeded request mix
-(byte-identical at any client concurrency), drives it through the
-study's own scheduler and retrier, and byte-verifies every response
-against an in-process render of the same files; a seeded quarter of
-the plan goes out conditional, where a 304 proves the daemon still
-serves that exact version's bytes:
+Load testing lives in the benchmark module. Its serve-hot and
+serve-reload workloads start this daemon on a seeded export, drive a
+Zipf (s = 1) request mix in an open loop and then a closed one,
+byte-check every response against an in-process render of the same
+file, and report p50/p99 latency and throughput. serve-reload swaps
+the daemon to a second export as its open loop starts:
 
 ` + "```console" + `
-$ go run ./cmd/govserve -loadgen -base http://127.0.0.1:8080 \
-    -requests 20000 -concurrency 12 -seed 42 \
-    -verify study.jsonl,other.jsonl \
-    -reload-at 10000 -reload-to 'jsonl=other.jsonl' -out BENCH.json
+$ bash bench/run.sh -workload serve-reload -seconds 10
 ` + "```" + `
 
-The result JSON records the latency histogram, throughput, the
-per-version response split across the mid-run reload, the server's
-cache hit rate, and a nonzero exit if any response failed or
-mismatched — BENCH_8.json in the repo root is one such run: 20k
-requests across a live reload, zero mismatches, zero drops.
+A run is correct only with fail_frac 0. BENCH_8.json in the repo
+root predates the benchmark module: it came from the load harness
+govserve carried before, since retired (20k requests across a live
+reload, zero mismatches, zero drops). The exec test
+TestServeDaemonExec runs the real daemon process and checks the
+conditional leg and a reload fired at a fixed index of a concurrent
+seeded run: every 304 has an empty body, every body equals the
+render of the version it names, and every request sent after the
+reload answered is served by the new version.
 `
 
 // lintWalkthrough explains how to read and act on a govlint
@@ -230,16 +231,20 @@ this:
 
 ` + "`" + `` + "`" + `` + "`" + `console
 $ go run ./cmd/govlint ./...
-cmd/govserve/main.go:184:14: determinism-taint: call to loadgen.Run
-  transitively reads the wall clock or races an ambient timer
-  (runLoadgen → loadgen.Run → time.Now); deterministic packages must
+cmd/govprobe/main.go:78:14: determinism-taint: call to
+  dnswire.Resolver.LookupA transitively reads the wall clock or races
+  an ambient timer (main → dnswire.Resolver.LookupA →
+  dnswire.Resolver.clock → time.Now); deterministic packages must
   derive all timing from injected values
 ` + "`" + `` + "`" + `` + "`" + `
 
 Read the parenthesized chain right to left: ` + "`" + `time.Now` + "`" + ` is the
-forbidden source, ` + "`" + `loadgen.Run` + "`" + ` is the helper that reaches it, and
-` + "`" + `runLoadgen` + "`" + ` (in a deterministic-tagged package) is the caller being
-flagged. The fix is one of three, in order of preference: inject the
+forbidden source, ` + "`" + `dnswire.Resolver.clock` + "`" + ` is the helper that
+reaches it, ` + "`" + `LookupA` + "`" + ` is the call that carries it out of the package,
+and ` + "`" + `main` + "`" + ` (in a deterministic-tagged package) is the caller being
+flagged. The tree is clean because ` + "`" + `clock` + "`" + ` carries a barrier: it
+reads the wall clock only when no clock is injected. Delete that
+barrier and govlint prints the finding above. The fix is one of three, in order of preference: inject the
 value (pass a timestamp or a seeded generator down the chain), sort
 or sanitize the helper (for map-order chains), or — when the effect
 genuinely never reaches deterministic output — put

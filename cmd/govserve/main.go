@@ -14,18 +14,15 @@
 //	curl localhost:8080/api/fig2
 //	curl -X POST 'localhost:8080/admin/reload?jsonl=other.jsonl'
 //
-// The same binary doubles as the load harness:
-//
-//	govserve -loadgen -base http://127.0.0.1:8080 -requests 20000 \
-//	  -verify study.jsonl,other.jsonl -reload-at 10000 \
-//	  -reload-to 'jsonl=other.jsonl' -out BENCH.json
+// Load testing lives in the benchmark module: bench/'s serve-hot and
+// serve-reload workloads drive this daemon with a seeded Zipf mix and
+// byte-check every response (bash bench/run.sh -workload serve-reload).
 //
 //lint:deterministic
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -38,7 +35,6 @@ import (
 	govhost "repro"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/serve/loadgen"
 )
 
 func main() {
@@ -52,25 +48,9 @@ func main() {
 		countries = flag.String("countries", "", "comma-separated ISO codes for -run / -from-checkpoint")
 		workers   = flag.Int("workers", 0, "concurrent request renders; excess requests queue (default 8)")
 		ixWorkers = flag.Int("index-workers", 0, "goroutines for the analysis index build on startup and reload; any value serves byte-identical bodies (default 8)")
-
-		lgMode   = flag.Bool("loadgen", false, "run as the load harness against -base instead of serving")
-		base     = flag.String("base", "", "loadgen: daemon base URL")
-		requests = flag.Int("requests", 10000, "loadgen: total requests")
-		lgConc   = flag.Int("concurrency", 8, "loadgen: client workers")
-		verify   = flag.String("verify", "", "loadgen: comma-separated JSONL files covering every version the daemon may serve")
-		reloadAt = flag.Int("reload-at", 0, "loadgen: fire POST /admin/reload before this request index (0 = never)")
-		reloadTo = flag.String("reload-to", "", "loadgen: reload selector, e.g. 'jsonl=/path/b.jsonl'")
-		outPath  = flag.String("out", "", "loadgen: write the result JSON here (default stdout)")
 	)
 	flag.Parse()
 
-	if *lgMode {
-		if err := runLoadgen(*base, *requests, *lgConc, *seed, *verify, *reloadAt, *reloadTo, *outPath, *ixWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "govserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := runDaemon(*addr, *fromJSONL, *fromCkpt, *runStudy, *seed, *scale, *countries, *workers, *ixWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "govserve:", err)
 		os.Exit(1)
@@ -165,51 +145,4 @@ func runDaemon(addr, fromJSONL, fromCkpt string, runStudy bool, seed int64, scal
 			return nil
 		}
 	}
-}
-
-func runLoadgen(base string, requests, concurrency int, seed int64, verify string, reloadAt int, reloadTo, outPath string, ixWorkers int) error {
-	if base == "" {
-		return fmt.Errorf("-loadgen requires -base")
-	}
-	if verify == "" {
-		return fmt.Errorf("-loadgen requires -verify")
-	}
-	var snaps []*serve.Snapshot
-	for _, path := range strings.Split(verify, ",") {
-		snap, err := govhost.ServeSnapshotFromJSONLWorkers(path, ixWorkers)
-		if err != nil {
-			return err
-		}
-		snaps = append(snaps, snap)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	res, err := loadgen.Run(ctx, loadgen.Config{
-		BaseURL:     base,
-		Requests:    requests,
-		Concurrency: concurrency,
-		Seed:        seed,
-		Verify:      snaps,
-		ReloadAt:    reloadAt,
-		ReloadQuery: reloadTo,
-	})
-	if err != nil {
-		return err
-	}
-	body, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	body = append(body, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, body, 0o644); err != nil {
-			return err
-		}
-	} else {
-		os.Stdout.Write(body)
-	}
-	if res.Failed > 0 || res.Mismatches > 0 {
-		return fmt.Errorf("load run saw %d failures, %d mismatches", res.Failed, res.Mismatches)
-	}
-	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/world"
 )
 
@@ -89,10 +90,10 @@ type Config struct {
 	DisableMetrics bool
 
 	// AnalysisWorkers partitions the one-pass analysis index build
-	// across this many goroutines (0 picks a default of 8, 1 scans
-	// inline). Any value produces a byte-identical index — the partial
-	// aggregates merge exactly — so the knob trades only wall-clock
-	// time, never output.
+	// across this many goroutines (0 or negative picks a default of
+	// 8, 1 scans inline). Any value produces a byte-identical index —
+	// the partial aggregates merge exactly — so the knob trades only
+	// wall-clock time, never output.
 	AnalysisWorkers int
 
 	// CheckpointDir, when set, persists each finished country into the
@@ -153,16 +154,8 @@ type Study struct {
 
 // index returns the memoized analysis index.
 func (s *Study) index() *analysis.Index {
-	s.idxOnce.Do(func() { s.idx = analysis.BuildIndexWorkers(s.ds, analysisWorkers(s.cfg.AnalysisWorkers)) })
+	s.idxOnce.Do(func() { s.idx = analysis.BuildIndexWorkers(s.ds, sched.ResolveWorkers(s.cfg.AnalysisWorkers)) })
 	return s.idx
-}
-
-// analysisWorkers resolves the AnalysisWorkers knob: 0 defaults to 8.
-func analysisWorkers(n int) int {
-	if n == 0 {
-		return 8
-	}
-	return n
 }
 
 // Run executes the full pipeline: environment materialisation,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/peeringdb"
 	"repro/internal/probing"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/webgen"
 	"repro/internal/whois"
 	"repro/internal/world"
@@ -138,12 +139,8 @@ func (c Config) withDefaults() Config {
 	if c.ManycastRecall == 0 {
 		c.ManycastRecall = 0.97
 	}
-	if c.CountryConcurrency <= 0 {
-		c.CountryConcurrency = 8
-	}
-	if c.FetchConcurrency <= 0 {
-		c.FetchConcurrency = 8
-	}
+	c.CountryConcurrency = sched.ResolveWorkers(c.CountryConcurrency)
+	c.FetchConcurrency = sched.ResolveWorkers(c.FetchConcurrency)
 	if c.FaultSeed == 0 {
 		c.FaultSeed = c.Seed
 	}

@@ -89,11 +89,7 @@ func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, e
 	}
 	pool := c.Pool
 	if pool == nil {
-		workers := c.Config.Concurrency
-		if workers <= 0 {
-			workers = 8
-		}
-		pool = sched.NewPool(workers)
+		pool = sched.NewPool(sched.ResolveWorkers(c.Config.Concurrency))
 		defer pool.Close()
 	}
 

@@ -120,10 +120,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count reads how many durations were observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Snapshot freezes the histogram for callers outside the registry —
-// the serving load generator reports its client-side latency this way.
-func (h *Histogram) Snapshot() HistogramSnapshot { return h.snapshot() }
-
 // snapshot freezes the histogram.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
@@ -219,12 +215,12 @@ func New() *Registry {
 }
 
 // SchedMetrics instruments sched.Pool. Item counts are deterministic
-// (every index of every Each batch runs exactly once in a completed
+// (every index of every EachWith batch runs exactly once in a completed
 // run); task submissions, queue pressure and occupancy depend on which
 // workers were free and belong to the runtime side.
 type SchedMetrics struct {
 	// Deterministic.
-	ItemsScheduled Counter // indexes handed to Each across all batches
+	ItemsScheduled Counter // indexes handed to EachWith across all batches
 	ItemsRun       Counter // indexes actually executed
 
 	// Runtime (scheduling-shape dependent).

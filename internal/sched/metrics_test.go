@@ -21,7 +21,7 @@ func TestEachCountsItemsDeterministically(t *testing.T) {
 		var ran atomic.Int64
 		total := 0
 		for _, n := range []int{0, 3, 100, 1000} {
-			p.Each(context.Background(), n, func(i int) { ran.Add(1) })
+			p.EachWith(context.Background(), n, nil, func(i int) { ran.Add(1) })
 			total += n
 		}
 		p.Close()
@@ -128,9 +128,9 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	p.SetMetrics(m)
-	p.Each(context.Background(), 10, func(i int) {})
+	p.EachWith(context.Background(), 10, nil, func(i int) {})
 	p.SetMetrics(nil)
-	p.Each(context.Background(), 10, func(i int) {})
+	p.EachWith(context.Background(), 10, nil, func(i int) {})
 	if got := m.ItemsScheduled.Load(); got != 10 {
 		t.Errorf("ItemsScheduled = %d after detach, want 10", got)
 	}

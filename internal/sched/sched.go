@@ -89,10 +89,22 @@ func (p *Pool) SetRetryBudget(b *Budget) { p.budget = b }
 func (p *Pool) RetryBudget() *Budget { return p.budget }
 
 // SetMetrics attaches the scheduler's metrics slice: deterministic
-// item counts from Each, plus queue-depth/occupancy high-water marks
-// and queue-wait latencies. Nil detaches. Safe to call while the pool
+// item counts from EachWith, plus queue-depth/occupancy high-water
+// marks and queue-wait latencies. Nil detaches. Safe to call while the pool
 // is running; recording starts with the next task.
 func (p *Pool) SetMetrics(m *metrics.SchedMetrics) { p.metrics.Store(m) }
+
+// ResolveWorkers maps a concurrency knob to a worker count: zero and
+// negative values pick the default of 8, positive values stand. Every
+// knob resolves through it: country and fetch concurrency, a
+// standalone crawl's pool, the daemon's render pool and the analysis
+// index build.
+func ResolveWorkers(n int) int {
+	if n <= 0 {
+		return 8
+	}
+	return n
+}
 
 // NewPool starts a pool with the given number of worker goroutines.
 // A non-positive count is clamped to 1.
@@ -205,34 +217,30 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// minChunk floors the per-claim batch size in Each: below this, the
+// minChunk floors the per-claim batch size in EachWith: below this, the
 // claim and handoff cost more than any load-balance win.
 const minChunk = 8
 
-// Each runs fn(i) for every i in [0, n) and waits for completion. The
-// calling goroutine participates: it claims contiguous index chunks
-// from an atomic cursor and runs them itself, while pool workers that
-// can take work immediately steal chunks alongside it. The caller was
-// going to block on the result anyway, so a batch the pool is too busy
-// to help with degrades to an ordinary loop instead of queueing behind
-// other callers — and the caller's own progress never requires a
-// goroutine handoff, which on few-core machines is most of a small
-// task's cost. On cancellation no further chunks are claimed and
-// running chunks stop between items, so some fn calls may never
-// happen; callers that need to know which ran should record completion
-// in their per-index result slot.
-func (p *Pool) Each(ctx context.Context, n int, fn func(i int)) {
-	p.EachWith(ctx, n, nil, fn)
-}
-
-// EachWith is Each with the deterministic item accounting redirected
-// to det: ItemsScheduled/ItemsRun land on det instead of the pool's
-// study-wide SchedMetrics, so a caller running one country's batches
-// can capture that country's attributable counts (the checkpoint
-// contract needs them separable). A nil det falls back to the pool's
-// metrics. Runtime enqueue accounting — queue depth, occupancy, wait —
-// always stays pool-global: it describes the shared pool, not the
-// caller.
+// EachWith runs fn(i) for every i in [0, n) and waits for completion.
+// The calling goroutine participates: it claims contiguous index
+// chunks from an atomic cursor and runs them itself, while pool
+// workers that can take work immediately steal chunks alongside it.
+// The caller was going to block on the result anyway, so a batch the
+// pool is too busy to help with degrades to an ordinary loop instead
+// of queueing behind other callers — and the caller's own progress
+// never requires a goroutine handoff, which on few-core machines is
+// most of a small task's cost. On cancellation no further chunks are
+// claimed and running chunks stop between items, so some fn calls may
+// never happen; callers that need to know which ran should record
+// completion in their per-index result slot.
+//
+// The deterministic item accounting (ItemsScheduled/ItemsRun) lands on
+// det instead of the pool's study-wide SchedMetrics, so a caller
+// running one country's batches can capture that country's
+// attributable counts (the checkpoint contract needs them separable).
+// A nil det falls back to the pool's metrics. Runtime enqueue
+// accounting — queue depth, occupancy, wait — always stays
+// pool-global: it describes the shared pool, not the caller.
 func (p *Pool) EachWith(ctx context.Context, n int, det *metrics.SchedMetrics, fn func(i int)) {
 	if n == 0 {
 		return

@@ -107,6 +107,24 @@ func TestPoolClampsNonPositiveWorkers(t *testing.T) {
 	}
 }
 
+// TestResolveWorkers pins the one default every concurrency knob
+// shares: unset and negative knobs pick 8, positive ones stand as
+// given.
+func TestResolveWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, 8},
+		{-1, 8},
+		{-100, 8},
+		{1, 1},
+		{3, 3},
+		{64, 64},
+	} {
+		if got := ResolveWorkers(tc.in); got != tc.want {
+			t.Errorf("ResolveWorkers(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestBudgetCountsDown(t *testing.T) {
 	b := NewBudget(3)
 	for i := 0; i < 3; i++ {

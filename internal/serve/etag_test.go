@@ -202,8 +202,8 @@ func TestNoETagOnErrors(t *testing.T) {
 	}
 }
 
-// TestETagForIsPure covers the offline half of the contract used by
-// the load generator: canonicalization folds equivalent queries onto
+// TestETagForIsPure covers the offline half of the contract, which
+// the daemon exec test relies on: canonicalization folds equivalent queries onto
 // one tag, and non-canonicalizable queries produce no tag at all.
 func TestETagForIsPure(t *testing.T) {
 	if got := ETagFor("abc", "nope", nil); got != "" {

@@ -64,17 +64,13 @@ func New(cfg Config) *Server {
 	if cfg.Snapshot == nil {
 		panic("serve: Config.Snapshot is required")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = &metrics.Registry{}
 	}
 	s := &Server{
 		reg:      reg,
-		pool:     sched.NewPool(workers),
+		pool:     sched.NewPool(sched.ResolveWorkers(cfg.Workers)),
 		reloader: cfg.Reloader,
 		mux:      http.NewServeMux(),
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/world"
 )
 
@@ -58,14 +59,12 @@ type cacheEntry struct {
 // equal versions no matter where they were loaded from.
 //
 // The analysis index build is partitioned across workers goroutines
-// (0 picks the default of 8). The worker count shapes only the build's wall-clock time — the
-// index, and therefore every body this snapshot will ever serve, is
-// byte-identical at any setting — so snapshot builds and /admin/reload
-// swaps complete faster without perturbing a single response.
+// (0 or negative picks the default of 8). The worker count shapes
+// only the build's wall-clock time — the index, and therefore every
+// body this snapshot will ever serve, is byte-identical at any
+// setting — so snapshot builds and /admin/reload swaps complete
+// faster without perturbing a single response.
 func NewSnapshotWorkers(ds *dataset.Dataset, desc string, workers int) (*Snapshot, error) {
-	if workers == 0 {
-		workers = 8
-	}
 	ds.FillTotals()
 	v, err := DatasetVersion(ds)
 	if err != nil {
@@ -73,7 +72,7 @@ func NewSnapshotWorkers(ds *dataset.Dataset, desc string, workers int) (*Snapsho
 	}
 	return &Snapshot{
 		ds:      ds,
-		ix:      analysis.BuildIndexWorkers(ds, workers),
+		ix:      analysis.BuildIndexWorkers(ds, sched.ResolveWorkers(workers)),
 		w:       world.New(),
 		version: v,
 		desc:    desc,
@@ -113,8 +112,8 @@ func (s *Snapshot) Countries() []string {
 
 // Render answers one endpoint for the given query, going through the
 // same single-flight cache the HTTP handlers use but recording no
-// metrics. Tests and the load generator use it to compute the exact
-// bytes the daemon must produce for this snapshot.
+// metrics. Tests and the benchmark's load generator use it to compute
+// the exact bytes the daemon must produce for this snapshot.
 func (s *Snapshot) Render(name string, query url.Values) (body []byte, status int) {
 	return s.respond(name, query, nil)
 }
@@ -179,11 +178,12 @@ func (s *Snapshot) renderFresh(ep *endpoint, params map[string]string) ([]byte, 
 // the tag is strong in the RFC 9110 sense — equal tags imply
 // byte-equal bodies. It returns "" when the query does not
 // canonicalize (those responses are uncached errors and carry no
-// ETag). Clients holding the same dataset file can compute the tag
-// the daemon will serve without a first request.
+// ETag) or when the version holds a byte an entity tag cannot carry.
+// Clients holding the same dataset file can compute the tag the
+// daemon will serve without a first request.
 func ETagFor(version, name string, query url.Values) string {
 	ep := endpointIndex[name]
-	if ep == nil {
+	if ep == nil || !etagSafe(version) {
 		return ""
 	}
 	params, aerr := canonicalParams(ep, query)
@@ -193,6 +193,19 @@ func ETagFor(version, name string, query url.Values) string {
 	return etagOf(version, cacheKey(name, params))
 }
 
+// etagSafe reports whether version can sit inside a quoted entity
+// tag: every byte must be an RFC 9110 etagc (visible ASCII other than
+// DQUOTE, or obs-text). Versions from DatasetVersion are hex and
+// always qualify.
+func etagSafe(version string) bool {
+	for i := 0; i < len(version); i++ {
+		if c := version[i]; c <= ' ' || c == '"' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
 // etagOf renders the quoted strong tag for a version + cache key.
 func etagOf(version, key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -200,23 +213,38 @@ func etagOf(version, key string) string {
 }
 
 // etagMatch reports whether an If-None-Match header value matches the
-// given strong tag: a comma-separated list of entity tags, "*"
-// matching anything, and weak tags (W/ prefix) compared by their
-// opaque part — RFC 9110's weak comparison, which If-None-Match
-// mandates.
+// given strong tag: "*" matches anything, and otherwise the header is
+// a comma-separated list of entity tags — optionally W/-prefixed
+// quoted strings — compared by their opaque part, RFC 9110's weak
+// comparison, which If-None-Match mandates. A comma inside the quotes
+// belongs to the tag; a list element that is not a quoted tag is
+// skipped.
 func etagMatch(header, tag string) bool {
 	if header == "" || tag == "" {
 		return false
 	}
 	opaque := strings.TrimPrefix(tag, "W/")
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" {
+	for h := header; h != ""; {
+		h = strings.TrimLeft(h, " \t,")
+		if q := strings.TrimPrefix(h, "W/"); strings.HasPrefix(q, `"`) {
+			end := strings.IndexByte(q[1:], '"')
+			if end < 0 {
+				return false // unterminated tag: nothing after it parses
+			}
+			if q[:end+2] == opaque {
+				return true
+			}
+			h = q[end+2:]
+			continue
+		}
+		i := strings.IndexByte(h, ',')
+		if i < 0 {
+			i = len(h)
+		}
+		if strings.TrimRight(h[:i], " \t") == "*" {
 			return true
 		}
-		if strings.TrimPrefix(part, "W/") == opaque {
-			return true
-		}
+		h = h[i:]
 	}
 	return false
 }

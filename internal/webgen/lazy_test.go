@@ -109,7 +109,7 @@ func TestLazyBuildConcurrentReaders(t *testing.T) {
 	const n = 400
 	failures := make([]string, n)
 	f := &MemFetcher{Estate: e, Vantage: country}
-	pool.Each(context.Background(), n, func(i int) {
+	pool.EachWith(context.Background(), n, nil, func(i int) {
 		switch i % 3 {
 		case 0:
 			resp, err := f.Fetch(context.Background(), landings[i%len(landings)])

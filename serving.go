@@ -20,10 +20,10 @@ func NewServeSnapshot(st *Study, desc string) (*serve.Snapshot, error) {
 // serving snapshot. The snapshot's version is a pure function of the
 // file's canonical export bytes, so a client holding the same file
 // computes the same version the daemon will claim. workers is the
-// index-build worker count (0 picks the default of 8). Any value
-// yields byte-identical snapshots; the knob trades only the build's
-// wall-clock time, which is the critical path of daemon startup and
-// /admin/reload.
+// index-build worker count (0 or negative picks the default of 8).
+// Any value yields byte-identical snapshots; the knob trades only the
+// build's wall-clock time, which is the critical path of daemon
+// startup and /admin/reload.
 func ServeSnapshotFromJSONLWorkers(path string, workers int) (*serve.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
