@@ -56,33 +56,6 @@ func BenchmarkStudyPipeline(b *testing.B) {
 	}
 }
 
-func BenchmarkStudyPipelineMetrics(b *testing.B) {
-	// The metrics registry is on by default; the "off" sub-bench
-	// measures the pipeline with recording disabled. The delta is the
-	// cost of the atomic counters on the hot path — it should stay
-	// within the run-to-run noise of the pipeline itself (<3%).
-	for _, bench := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := Config{Scale: 0.02, DisableMetrics: bench.disable}
-				s, err := Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, ok := s.Metrics(); ok == bench.disable {
-					b.Fatalf("metrics snapshot present=%v with DisableMetrics=%v", ok, bench.disable)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkStudyPipelineSplitBudget(b *testing.B) {
 	// The same run with the scheduler knobs split explicitly: few
 	// countries in flight, a wider shared fetch/annotate pool. Total

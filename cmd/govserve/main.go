@@ -47,11 +47,10 @@ func main() {
 		scale     = flag.Float64("scale", 0.1, "study scale for -run / -from-checkpoint manifest matching")
 		countries = flag.String("countries", "", "comma-separated ISO codes for -run / -from-checkpoint")
 		workers   = flag.Int("workers", 0, "concurrent request renders; excess requests queue (default 8)")
-		ixWorkers = flag.Int("index-workers", 0, "goroutines for the analysis index build on startup and reload; any value serves byte-identical bodies (default 8)")
 	)
 	flag.Parse()
 
-	if err := runDaemon(*addr, *fromJSONL, *fromCkpt, *runStudy, *seed, *scale, *countries, *workers, *ixWorkers); err != nil {
+	if err := runDaemon(*addr, *fromJSONL, *fromCkpt, *runStudy, *seed, *scale, *countries, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "govserve:", err)
 		os.Exit(1)
 	}
@@ -65,10 +64,9 @@ func studyConfig(seed int64, scale float64, countries string) govhost.Config {
 	return cfg
 }
 
-func runDaemon(addr, fromJSONL, fromCkpt string, runStudy bool, seed int64, scale float64, countries string, workers, ixWorkers int) error {
+func runDaemon(addr, fromJSONL, fromCkpt string, runStudy bool, seed int64, scale float64, countries string, workers int) error {
 	ctx := context.Background()
 	cfg := studyConfig(seed, scale, countries)
-	cfg.AnalysisWorkers = ixWorkers
 
 	var (
 		snap *serve.Snapshot
@@ -77,7 +75,7 @@ func runDaemon(addr, fromJSONL, fromCkpt string, runStudy bool, seed int64, scal
 	)
 	switch {
 	case fromJSONL != "":
-		snap, err = govhost.ServeSnapshotFromJSONLWorkers(fromJSONL, ixWorkers)
+		snap, err = govhost.ServeSnapshotFromJSONL(fromJSONL)
 		src = serve.Source{Kind: "jsonl", Path: fromJSONL}
 	case fromCkpt != "":
 		c := cfg

@@ -742,7 +742,7 @@ func (s *Study) reportCoverage() string {
 func (s *Study) reportMetrics() string {
 	snap, ok := s.Metrics()
 	if !ok {
-		return "no metrics registry: the study was loaded from a saved dataset or run with DisableMetrics\n"
+		return "no metrics registry: the study was loaded from a saved dataset\n"
 	}
 	// The preamble travels with the ledger so regenerated documents
 	// (govreport) keep the reading instructions next to the numbers.

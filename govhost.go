@@ -85,17 +85,6 @@ type Config struct {
 	GlobalThresholdMS float64 // replace per-country road thresholds
 	DisableSAN        bool    // drop the Table 1 SAN-matching step
 
-	// DisableMetrics turns off the per-stage metrics registry (on by
-	// default; the instrumentation costs well under 3 % of a run).
-	DisableMetrics bool
-
-	// AnalysisWorkers partitions the one-pass analysis index build
-	// across this many goroutines (0 or negative picks a default of
-	// 8, 1 scans inline). Any value produces a byte-identical index —
-	// the partial aggregates merge exactly — so the knob trades only
-	// wall-clock time, never output.
-	AnalysisWorkers int
-
 	// CheckpointDir, when set, persists each finished country into the
 	// directory as it completes, so a killed run can be resumed instead
 	// of restarted. See Resume.
@@ -125,7 +114,6 @@ func (c Config) toCore() core.Config {
 		TrustIPInfo:        c.TrustIPInfo,
 		GlobalThresholdMS:  c.GlobalThresholdMS,
 		DisableSAN:         c.DisableSAN,
-		DisableMetrics:     c.DisableMetrics,
 		CheckpointDir:      c.CheckpointDir,
 		Resume:             c.Resume,
 	}
@@ -152,9 +140,10 @@ type Study struct {
 	idx     *analysis.Index
 }
 
-// index returns the memoized analysis index.
+// index returns the memoized analysis index, built at the default
+// worker count (the index is byte-identical at any width).
 func (s *Study) index() *analysis.Index {
-	s.idxOnce.Do(func() { s.idx = analysis.BuildIndexWorkers(s.ds, sched.ResolveWorkers(s.cfg.AnalysisWorkers)) })
+	s.idxOnce.Do(func() { s.idx = analysis.BuildIndexWorkers(s.ds, sched.ResolveWorkers(0)) })
 	return s.idx
 }
 
@@ -455,12 +444,9 @@ func (s *Study) PerCountryStats() []CountryStats {
 }
 
 // Metrics returns the frozen per-stage metrics ledger for this study.
-// ok is false when no registry was attached — the study was loaded
-// from a saved dataset, or run with Config.DisableMetrics.
+// ok is false only for a study loaded from a saved dataset, which
+// never ran a pipeline.
 func (s *Study) Metrics() (snap MetricsSnapshot, ok bool) {
-	if s.env == nil {
-		return MetricsSnapshot{}, false
-	}
 	reg := s.env.Metrics()
 	if reg == nil {
 		return MetricsSnapshot{}, false

@@ -85,7 +85,11 @@ type Manifest struct {
 	TrendYears        int      `json:"trendYears,omitempty"`
 	IPInfoErrorRate   float64  `json:"ipinfoErrorRate"`
 	ManycastRecall    float64  `json:"manycastRecall"`
-	DisableMetrics    bool     `json:"disableMetrics,omitempty"`
+	// DisableMetrics is always written false: metrics are always on.
+	// It stays so that a directory written by an older metrics-off run,
+	// whose countries carry empty metric deltas, is refused with a
+	// MismatchError instead of resumed into a short ledger.
+	DisableMetrics bool `json:"disableMetrics,omitempty"`
 }
 
 // HostOutcome records one hostname whose resolution failed, with the

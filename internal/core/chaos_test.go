@@ -537,21 +537,3 @@ func TestMetricsRetryBudgetBound(t *testing.T) {
 		t.Errorf("snapshot counts %d retries against a budget of 10", got)
 	}
 }
-
-// TestMetricsDisabled: DisableMetrics must leave the Env without a
-// registry and the pipeline indifferent to its absence.
-func TestMetricsDisabled(t *testing.T) {
-	cfg := chaosConfig()
-	cfg.DisableMetrics = true
-	env := NewEnv(cfg)
-	ds, err := env.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Metrics() != nil {
-		t.Error("DisableMetrics still attached a registry")
-	}
-	if len(ds.Records) == 0 {
-		t.Error("disabled-metrics run produced no records")
-	}
-}

@@ -48,13 +48,6 @@ type Config struct {
 	// SkipTopsites disables the Appendix D baseline collection.
 	SkipTopsites bool
 
-	// IPInfoErrorRate is the fraction of unicast addresses the
-	// commercial geolocation database mislocates; defaults to 0.03.
-	IPInfoErrorRate float64
-	// ManycastRecall is the detection rate of the MAnycast2 snapshot;
-	// defaults to 0.97.
-	ManycastRecall float64
-
 	// TrustIPInfo skips the §3.5 verification stages and takes the
 	// commercial database at face value (ablation).
 	TrustIPInfo bool
@@ -85,11 +78,6 @@ type Config struct {
 	// byte-reproducibility for bounded cost — leave it unlimited when
 	// comparing chaos runs.
 	RetryBudget int64
-
-	// DisableMetrics turns off the per-stage metrics registry. The
-	// instrumentation costs well under the 3% bench budget, so it is on
-	// by default; the off switch exists for overhead comparisons.
-	DisableMetrics bool
 
 	// CheckpointDir, when set, persists each finished country into the
 	// directory as it flushes through the merge sink, so a killed run
@@ -125,6 +113,16 @@ type Config struct {
 	FailCountries []string
 }
 
+// The §3.5 calibration of the synthetic geolocation sources: the
+// fraction of unicast addresses the commercial IPInfo database
+// mislocates, and the detection rate of the MAnycast2 snapshot. Both
+// are pinned in the checkpoint manifest, so changing either refuses
+// directories written under the old value.
+const (
+	ipinfoErrorRate = 0.03
+	manycastRecall  = 0.97
+)
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -132,12 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scale <= 0 {
 		c.Scale = 0.1
-	}
-	if c.IPInfoErrorRate == 0 {
-		c.IPInfoErrorRate = 0.03
-	}
-	if c.ManycastRecall == 0 {
-		c.ManycastRecall = 0.97
 	}
 	c.CountryConcurrency = sched.ResolveWorkers(c.CountryConcurrency)
 	c.FetchConcurrency = sched.ResolveWorkers(c.FetchConcurrency)
@@ -181,8 +173,7 @@ type Env struct {
 
 	// metrics is the study-wide per-stage instrumentation registry,
 	// shared by the scheduler, cache, fetch stack, fault injector and
-	// crawler; nil when Config.DisableMetrics is set (or for loaded
-	// studies, which never ran a pipeline).
+	// crawler; nil only for loaded studies, which never ran a pipeline.
 	metrics *metrics.Registry
 
 	// afterFlush, when set, is called by the merge sink after each
@@ -191,56 +182,18 @@ type Env struct {
 	afterFlush func(code string)
 }
 
-// Metrics exposes the per-stage metrics registry; nil when metrics are
-// disabled or the Env was reconstructed from a saved dataset.
+// Metrics exposes the per-stage metrics registry; nil only when the
+// Env was reconstructed from a saved dataset.
 func (env *Env) Metrics() *metrics.Registry { return env.metrics }
 
-// The nil-safe slice accessors keep pipeline call sites one-liners
-// whether or not a registry is attached.
-
-func (env *Env) cacheCoalesced() *metrics.Counter {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Cache.Coalesced
-}
-
 // wireProberMetrics points the prober's coalesce counters at the
-// registry's geo slice; a nil registry leaves them detached.
+// registry's geo slice.
 func (env *Env) wireProberMetrics() {
-	if env.Prober == nil || env.metrics == nil {
+	if env.Prober == nil {
 		return
 	}
 	env.Prober.UnicastCoalesced = &env.metrics.Geo.Unicast.Coalesced
 	env.Prober.AnycastCoalesced = &env.metrics.Geo.Anycast.Coalesced
-}
-
-func (env *Env) fetchMetrics() *metrics.FetchMetrics {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Fetch
-}
-
-func (env *Env) faultMetrics() *metrics.FaultMetrics {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Faults
-}
-
-func (env *Env) crawlMetrics() *metrics.CrawlMetrics {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Crawl
-}
-
-func (env *Env) pipelineMetrics() *metrics.PipelineMetrics {
-	if env.metrics == nil {
-		return nil
-	}
-	return &env.metrics.Pipeline
 }
 
 // NewEnv builds the environment for a configuration.
@@ -267,11 +220,9 @@ func NewEnv(cfg Config) *Env {
 	}
 	env.Prober = probing.New(net, w, zones, env.IPInfo, env.Manycast)
 	env.Prober.GlobalThresholdMS = cfg.GlobalThresholdMS
-	if !cfg.DisableMetrics {
-		env.metrics = metrics.New()
-	}
+	env.metrics = metrics.New()
 	env.wireProberMetrics()
-	env.resolutions = newRescache(env.cacheCoalesced())
+	env.resolutions = newRescache(&env.metrics.Cache.Coalesced)
 	env.resolveHost = env.zoneResolve
 	return env
 }
@@ -318,7 +269,7 @@ func buildPeeringDB(n *netsim.Net) *peeringdb.Store {
 }
 
 // buildIPInfo derives the commercial geolocation database: unicast
-// addresses are correct except for a configurable error rate; anycast
+// addresses are correct except for ipinfoErrorRate of them; anycast
 // addresses are pinned to the operator's home country, the classic
 // commercial-database failure mode.
 func buildIPInfo(w *world.Model, n *netsim.Net, cfg Config) *ipinfo.DB {
@@ -332,7 +283,7 @@ func buildIPInfo(w *world.Model, n *netsim.Net, cfg Config) *ipinfo.DB {
 			e.Country = h.Provider.Home
 		} else {
 			e.Country = h.Country
-			if r.Float64() < cfg.IPInfoErrorRate {
+			if r.Float64() < ipinfoErrorRate {
 				e.Country = codes[r.Intn(len(codes))]
 			}
 		}
@@ -341,13 +292,12 @@ func buildIPInfo(w *world.Model, n *netsim.Net, cfg Config) *ipinfo.DB {
 	return db
 }
 
-// buildManycast snapshots anycast detection with the configured
-// recall.
+// buildManycast snapshots anycast detection at manycastRecall.
 func buildManycast(n *netsim.Net, cfg Config) *manycast.Snapshot {
 	s := manycast.New()
 	r := rng.New(cfg.Seed, "manycast")
 	for _, h := range n.HostList {
-		if h.Anycast && r.Float64() < cfg.ManycastRecall {
+		if h.Anycast && r.Float64() < manycastRecall {
 			s.Mark(h.Addr)
 		}
 	}

@@ -63,12 +63,12 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 		cfg.Resume = true
 	}
 	env.Config = cfg
-	if env.metrics == nil && !cfg.DisableMetrics {
+	if env.metrics == nil {
 		env.metrics = metrics.New()
 		env.wireProberMetrics()
 	}
 	if env.resolutions == nil {
-		env.resolutions = newRescache(env.cacheCoalesced())
+		env.resolutions = newRescache(&env.metrics.Cache.Coalesced)
 	}
 	if env.resolveHost == nil {
 		env.resolveHost = env.zoneResolve
@@ -118,16 +118,12 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 		}
 		defer s.Close()
 		store, loaded = s, res.Countries
-		if env.metrics != nil {
-			env.metrics.Shard.RecordQuarantined(int64(len(res.Quarantined)))
-		}
+		env.metrics.Shard.RecordQuarantined(int64(len(res.Quarantined)))
 	}
 
 	pool := sched.NewPool(cfg.FetchConcurrency)
 	defer pool.Close()
-	if env.metrics != nil {
-		pool.SetMetrics(&env.metrics.Sched)
-	}
+	pool.SetMetrics(&env.metrics.Sched)
 	if cfg.RetryBudget > 0 {
 		// Loaded countries already spent their share of the study-wide
 		// budget; the resuming run inherits only the remainder, so a
@@ -232,7 +228,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 				Failed:        true,
 				FailureReason: "shard worker exhausted its restart budget; country not collected",
 			}
-			env.pipelineMetrics().RecordCountry(code, metrics.CountryCounters{}, true, nil)
+			env.metrics.Pipeline.RecordCountry(code, metrics.CountryCounters{}, true, nil)
 			if err := sink.complete(&countryDone{code: code, stats: stats}); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -251,19 +247,14 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 			if ctx.Err() != nil {
 				continue // drain the remaining indexes without working
 			}
-			var fork *metrics.Registry
-			if env.metrics != nil {
-				fork = metrics.New()
-			}
+			fork := metrics.New()
 			d, err := env.runCountry(ctx, run[i], pool, fork)
 			if err != nil {
 				errs[i] = err
 				continue
 			}
 			d.fresh = true
-			if fork != nil {
-				d.delta = fork.Snapshot().Deterministic
-			}
+			d.delta = fork.Snapshot().Deterministic
 			sinkMu.Lock()
 			err = sink.complete(d)
 			sinkMu.Unlock()
@@ -320,15 +311,13 @@ feed:
 			return nil, err
 		}
 		sink.failed = append(sink.failed, failed...)
-		env.pipelineMetrics().ObserveStage("topsites", runtimeSince(topStart))
+		env.metrics.Pipeline.ObserveStage("topsites", runtimeSince(topStart))
 	}
-	if env.metrics != nil {
-		env.metrics.AddDeterministic(sharedLedger(ds, sink.failed, env.Faults, !cfg.TrustIPInfo))
-	}
+	env.metrics.AddDeterministic(sharedLedger(ds, sink.failed, env.Faults, !cfg.TrustIPInfo))
 
 	assignCategories(env, ds)
 	ds.FillTotals()
-	env.pipelineMetrics().ObserveStage("study", runtimeSince(studyStart))
+	env.metrics.Pipeline.ObserveStage("study", runtimeSince(studyStart))
 	return ds, nil
 }
 
@@ -349,8 +338,7 @@ func (env *Env) manifest(countries []*world.Country) checkpoint.Manifest {
 		RetryAttempts: cfg.RetryAttempts, RetryBudget: cfg.RetryBudget,
 		TrustIPInfo: cfg.TrustIPInfo, GlobalThresholdMS: cfg.GlobalThresholdMS,
 		DisableSAN: cfg.DisableSAN, TrendYears: cfg.TrendYears,
-		IPInfoErrorRate: cfg.IPInfoErrorRate, ManycastRecall: cfg.ManycastRecall,
-		DisableMetrics: cfg.DisableMetrics,
+		IPInfoErrorRate: ipinfoErrorRate, ManycastRecall: manycastRecall,
 	}
 }
 
@@ -397,8 +385,8 @@ const maxVantageAttempts = 3
 // with fresh egresses on validation failure (or on an injected egress
 // flap). It reports the attempts used so coverage stats record how
 // hard the vantage was to pin down. Injected flaps land in fam —
-// the country's fork when one is attached, so the injection is
-// attributable and checkpointable.
+// the country's fork, so the injection is attributable and
+// checkpointable.
 func (env *Env) connectVantage(c *world.Country, fam *metrics.FaultMetrics) (*vantage.Point, int, error) {
 	var err error
 	for attempt := 0; attempt < maxVantageAttempts; attempt++ {
@@ -504,28 +492,19 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 		LandingURLs: len(landings),
 	}
 
-	pm := env.pipelineMetrics() // study-level: wall-clock timings only
-	var dpm *metrics.PipelineMetrics
-	var cm *metrics.CrawlMetrics
-	var fm *metrics.FetchMetrics
-	var fam *metrics.FaultMetrics
-	var sm *metrics.SchedMetrics
-	if fork != nil {
-		dpm, cm, fm = &fork.Pipeline, &fork.Crawl, &fork.Fetch
-		fam, sm = &fork.Faults, &fork.Sched
-	}
+	pm := &env.metrics.Pipeline // study-level: wall-clock timings only
 	var timings metrics.CountryTimings
 
 	// §3.2: connect through an in-country VPN vantage and validate its
 	// claimed location before trusting it; reconnect on failure.
 	stageStart := runtimeNow()
-	vp, attempts, vErr := env.connectVantage(c, fam)
+	vp, attempts, vErr := env.connectVantage(c, &fork.Faults)
 	timings.Vantage = runtimeSince(stageStart)
 	stats.VantageAttempts = attempts
 	if vErr != nil {
 		stats.Failed = true
 		stats.FailureReason = fmt.Sprintf("vantage validation: %v", vErr)
-		dpm.RecordCountry(c.Code, metrics.CountryCounters{VantageAttempts: int64(attempts)}, true, nil)
+		fork.Pipeline.RecordCountry(c.Code, metrics.CountryCounters{VantageAttempts: int64(attempts)}, true, nil)
 		pm.RecordCountryTimings(c.Code, timings)
 		pm.ObserveStage("vantage", timings.Vantage)
 		return &countryDone{code: c.Code, stats: stats}, nil
@@ -538,7 +517,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	env.Estate.BuildCountry(c.Code)
 	timings.Estate = runtimeSince(stageStart)
 
-	retrier := env.fetchStack(vp.Fetcher, pool, fm, fam)
+	retrier := env.fetchStack(vp.Fetcher, pool, &fork.Fetch, &fork.Faults)
 	cr := &crawler.Crawler{
 		Fetcher: retrier,
 		Config: crawler.Config{
@@ -548,8 +527,8 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 			VPN:      vp.VPN,
 		},
 		Pool:    pool,
-		Metrics: cm,
-		Sched:   sm,
+		Metrics: &fork.Crawl,
+		Sched:   &fork.Sched,
 	}
 	stageStart = runtimeNow()
 	archive, err := cr.Crawl(ctx, landings)
@@ -593,8 +572,8 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	recs := make([]dataset.URLRecord, len(candidates))
 	errs := make([]error, len(candidates))
 	stageStart = runtimeNow()
-	pool.EachWith(ctx, len(candidates), sm, func(i int) {
-		recs[i], errs[i] = env.annotate(c, archive.Entries[candidates[i].idx], dpm)
+	pool.EachWith(ctx, len(candidates), &fork.Sched, func(i int) {
+		recs[i], errs[i] = env.annotate(c, archive.Entries[candidates[i].idx], &fork.Pipeline)
 	})
 	timings.Annotate = runtimeSince(stageStart)
 	if err := ctx.Err(); err != nil {
@@ -636,7 +615,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	stats.Retries = int(retrier.Stats().Retries)
 	discarded := int64(methods[govclass.MethodDiscarded])
 
-	dpm.RecordCountry(c.Code, metrics.CountryCounters{
+	fork.Pipeline.RecordCountry(c.Code, metrics.CountryCounters{
 		Attempted:       int64(stats.Attempted),
 		Records:         int64(len(records)),
 		Failures:        int64(stats.FailedURLs),

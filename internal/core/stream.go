@@ -93,7 +93,7 @@ func (s *mergeSink) complete(d *countryDone) error {
 		// memory the streaming bound is about; loaded countries are
 		// replays of already-persisted work, not new buffering.
 		d.parked = true
-		s.env.pipelineMetrics().RecordsInFlight(int64(len(d.records)))
+		s.env.metrics.Pipeline.RecordsInFlight(int64(len(d.records)))
 	}
 	for s.next < len(s.pending) && s.pending[s.next] != nil {
 		if err := s.flush(s.pending[s.next]); err != nil {
@@ -145,7 +145,7 @@ func (s *mergeSink) assemble() {
 // caller).
 func (s *mergeSink) flush(d *countryDone) error {
 	if d.parked {
-		s.env.pipelineMetrics().RecordsInFlight(-int64(len(d.records)))
+		s.env.metrics.Pipeline.RecordsInFlight(-int64(len(d.records)))
 	}
 	s.parts = append(s.parts, d.records)
 	s.ds.PerCountry[d.code] = d.stats

@@ -43,14 +43,14 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			// government crawls, so chaos runs degrade it identically.
 			// Topsites are never checkpointed, so their accounting goes
 			// straight to the study registry, not a fork.
-			Fetcher: env.fetchStack(vp.Fetcher, pool, env.fetchMetrics(), env.faultMetrics()),
+			Fetcher: env.fetchStack(vp.Fetcher, pool, &env.metrics.Fetch, &env.metrics.Faults),
 			Config: crawler.Config{
 				MaxDepth: 1, // §5.1: top-site scraping stops one level down
 				Country:  code,
 				VPN:      vp.VPN,
 			},
 			Pool:    pool,
-			Metrics: env.crawlMetrics(),
+			Metrics: &env.metrics.Crawl,
 		}
 		archive, err := cr.Crawl(ctx, landings)
 		if err != nil {
@@ -65,7 +65,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			if site == nil || site.Kind != webgen.KindTopsite {
 				continue
 			}
-			rec, err := env.annotate(c, entry, env.pipelineMetrics())
+			rec, err := env.annotate(c, entry, &env.metrics.Pipeline)
 			if err != nil {
 				failed = append(failed, checkpoint.HostOutcome{Host: entry.Host, Lookups: 1})
 				continue

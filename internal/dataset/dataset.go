@@ -145,8 +145,8 @@ func SortRecords(recs []URLRecord) {
 
 // FillTotals computes the Table 3 aggregate statistics from the
 // records and per-country stats, and sorts both record slices into
-// their canonical order. Call it once, after assembly: the totals add
-// onto whatever is already present.
+// their canonical order. It resets every total before summing, so it
+// is idempotent: calling it again on a filled dataset changes nothing.
 func (d *Dataset) FillTotals() {
 	hosts := map[string]bool{}
 	ips := map[netip.Addr]bool{}

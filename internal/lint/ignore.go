@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // ignoreDirective is one parsed //lint:ignore comment. It suppresses
@@ -53,11 +54,17 @@ const (
 //	//lint:ignore rule1,rule2 -- reason
 //
 // The reason is mandatory: a suppression that does not say why the
-// violation is intentional is itself a diagnostic.
+// violation is intentional is itself a diagnostic. The prefix must end
+// at a blank or the end of the text, as the //lint:deterministic tag
+// must: //lint:ignoremap-order is malformed, not a map-order
+// suppression.
 func parseIgnore(text string) ignoreDirective {
-	rest := strings.TrimPrefix(text, ignorePrefix)
-	if rest == text {
+	rest, ok := strings.CutPrefix(text, ignorePrefix)
+	if !ok {
 		return ignoreDirective{bad: "not an ignore directive"}
+	}
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return ignoreDirective{bad: "no blank after " + ignorePrefix}
 	}
 	rest = strings.TrimSpace(rest)
 	ruleList, reason, ok := strings.Cut(rest, "--")
@@ -65,7 +72,7 @@ func parseIgnore(text string) ignoreDirective {
 		return ignoreDirective{bad: "missing '-- reason'"}
 	}
 	d := ignoreDirective{rules: map[string]bool{}, reason: strings.TrimSpace(reason)}
-	for _, r := range strings.FieldsFunc(strings.TrimSpace(ruleList), func(c rune) bool { return c == ',' || c == ' ' }) {
+	for _, r := range strings.FieldsFunc(ruleList, func(c rune) bool { return c == ',' || unicode.IsSpace(c) }) {
 		d.rules[r] = true
 	}
 	if len(d.rules) == 0 {

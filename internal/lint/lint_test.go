@@ -177,6 +177,7 @@ func TestParseIgnore(t *testing.T) {
 		{"//lint:ignore map-order", true, nil, ""},
 		{"//lint:ignore -- reason but no rules", true, nil, ""},
 		{"//lint:ignore map-order --   ", true, nil, ""},
+		{"//lint:ignore map-order\tnondeterminism\f-- any blank separates rules", false, []string{"map-order", "nondeterminism"}, "any blank separates rules"},
 	}
 	for _, c := range cases {
 		d := parseIgnore(c.text)

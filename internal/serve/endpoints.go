@@ -81,10 +81,15 @@ type endpoint struct {
 // canonicalParams validates raw query values against the endpoint's
 // schema and returns the canonical parameter map that identifies the
 // response: defaults applied, unknown keys rejected, enum values
-// checked. Rejections come back as 400-class apiErrors.
+// checked. Rejections come back as 400-class apiErrors naming the
+// offending key. A nameless pair (the "=x" of "?=x") has no key to
+// name and cannot select anything, so it is ignored.
 func canonicalParams(ep *endpoint, query url.Values) (map[string]string, *apiError) {
 	var out map[string]string
 	for key := range query {
+		if key == "" {
+			continue
+		}
 		known := false
 		for i := range ep.params {
 			if ep.params[i].key == key {

@@ -3,6 +3,8 @@ package govhost
 import (
 	"context"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // TestReportsByteIdenticalAcrossConcurrencyShapes locks every rendered
@@ -59,26 +61,26 @@ func TestReportsByteIdenticalAcrossConcurrencyShapes(t *testing.T) {
 }
 
 // TestReportsByteIdenticalAcrossAnalysisWorkers sweeps the parallel
-// index build over a chaos-degraded partial dataset: the same
-// aggressive-fault study rendered with the analysis scan split across
-// 1, 2 and 8 workers must produce byte-identical report text for
-// every index-derived experiment. Faults leave rows with missing
-// registration/location fields and whole failed countries, so this is
-// the degraded-shape counterpart of the in-package worker-sweep test.
+// index build over a chaos-degraded partial dataset: one
+// aggressive-fault study, its index rebuilt with the analysis scan
+// split across 1, 2 and 8 workers and pinned into the study, must
+// render byte-identical report text for every experiment. Faults
+// leave rows with missing registration/location fields and whole
+// failed countries, so this is the degraded-shape counterpart of the
+// in-package worker-sweep test.
 func TestReportsByteIdenticalAcrossAnalysisWorkers(t *testing.T) {
-	base := Config{Scale: 0.03, Seed: 11,
+	st, err := Run(context.Background(), Config{Scale: 0.03, Seed: 11,
 		Countries:       []string{"US", "MX", "UY", "FR", "JP", "NG", "DE"},
 		MaxURLsPerCrawl: 30,
 		FaultProfile:    "aggressive",
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	type rendered map[string]string
 	render := func(workers int) rendered {
-		cfg := base
-		cfg.AnalysisWorkers = workers
-		s, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := &Study{cfg: st.cfg, env: st.env, ds: st.ds}
+		s.idxOnce.Do(func() { s.idx = analysis.BuildIndexWorkers(st.ds, workers) })
 		out := rendered{}
 		for _, e := range Experiments() {
 			if e.ID == "metrics" {

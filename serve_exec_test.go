@@ -39,7 +39,7 @@ func newLocalListener() (net.Listener, error) {
 // process on a kernel-assigned port, announcing its address on stdout
 // and draining on SIGTERM — the same lifecycle cmd/govserve runs.
 func serveDaemonMain(jsonlPath string) {
-	snap, err := ServeSnapshotFromJSONLWorkers(jsonlPath, 0)
+	snap, err := ServeSnapshotFromJSONL(jsonlPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve daemon:", err)
 		os.Exit(1)
@@ -107,7 +107,7 @@ func TestServeDaemonExec(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := ServeSnapshotFromJSONLWorkers(path, 0)
+		snap, err := ServeSnapshotFromJSONL(path)
 		if err != nil {
 			t.Fatal(err)
 		}

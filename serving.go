@@ -5,36 +5,34 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/export"
 	"repro/internal/serve"
 )
 
 // NewServeSnapshot freezes a completed study into a serving snapshot
-// for the govserve daemon. The study's AnalysisWorkers knob shapes
-// how many goroutines the index build uses; the snapshot bytes are
-// identical at any setting.
+// for the govserve daemon.
 func NewServeSnapshot(st *Study, desc string) (*serve.Snapshot, error) {
-	return serve.NewSnapshotWorkers(st.ds, desc, st.cfg.AnalysisWorkers)
+	return serve.NewSnapshotWorkers(st.ds, desc, 0)
 }
 
-// ServeSnapshotFromJSONLWorkers loads an exported study file into a
-// serving snapshot. The snapshot's version is a pure function of the
-// file's canonical export bytes, so a client holding the same file
-// computes the same version the daemon will claim. workers is the
-// index-build worker count (0 or negative picks the default of 8).
-// Any value yields byte-identical snapshots; the knob trades only the
-// build's wall-clock time, which is the critical path of daemon
-// startup and /admin/reload.
-func ServeSnapshotFromJSONLWorkers(path string, workers int) (*serve.Snapshot, error) {
+// ServeSnapshotFromJSONL loads an exported study file into a serving
+// snapshot. The snapshot's version is a pure function of the file's
+// canonical export bytes, so a client holding the same file computes
+// the same version the daemon will claim. The file is parsed once and
+// handed straight to the snapshot build, which fills the totals and
+// builds the index; this is the critical path of daemon startup and
+// /admin/reload.
+func ServeSnapshotFromJSONL(path string) (*serve.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("govhost: %w", err)
 	}
 	defer f.Close()
-	st, err := Load(f)
+	ds, err := export.ReadJSONL(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("govhost: %w", err)
 	}
-	return serve.NewSnapshotWorkers(st.ds, "jsonl:"+path, workers)
+	return serve.NewSnapshotWorkers(ds, "jsonl:"+path, 0)
 }
 
 // ServeSnapshotFromCheckpoint resumes cfg's study from its checkpoint
@@ -47,7 +45,7 @@ func ServeSnapshotFromCheckpoint(ctx context.Context, cfg Config) (*serve.Snapsh
 	if err != nil {
 		return nil, err
 	}
-	return serve.NewSnapshotWorkers(st.ds, "checkpoint:"+cfg.CheckpointDir, cfg.AnalysisWorkers)
+	return serve.NewSnapshotWorkers(st.ds, "checkpoint:"+cfg.CheckpointDir, 0)
 }
 
 // ServeReloader wires the daemon's /admin/reload (and SIGHUP) to the
@@ -57,7 +55,7 @@ func ServeReloader(cfg Config) serve.ReloadFunc {
 	return func(ctx context.Context, src serve.Source) (*serve.Snapshot, error) {
 		switch src.Kind {
 		case "jsonl":
-			return ServeSnapshotFromJSONLWorkers(src.Path, cfg.AnalysisWorkers)
+			return ServeSnapshotFromJSONL(src.Path)
 		case "checkpoint":
 			c := cfg
 			c.CheckpointDir = src.Path
