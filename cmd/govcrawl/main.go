@@ -117,41 +117,53 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The whole stack records into one registry, the same wiring the
-	// study pipeline uses.
+	// The scheduler records its runtime observations into a registry,
+	// and the crawl's tally row becomes the deterministic half, the way
+	// the study pipeline derives its ledger.
 	reg := metrics.New()
 	var fetcher fetch.Fetcher = vantage.NewHTTPFetcher(httpAddr, c.Code)
+	var injector *faults.Fetcher
 	if prof.Enabled() {
 		fs := *faultSeed
 		if fs == 0 {
 			fs = *seed
 		}
-		fetcher = &faults.Fetcher{Inner: fetcher, Plan: faults.NewPlan(fs, prof), Metrics: &reg.Faults}
+		injector = &faults.Fetcher{Inner: fetcher, Plan: faults.NewPlan(fs, prof)}
+		fetcher = injector
 	}
-	fetcher = &fetch.Retrier{
-		Inner:   fetcher,
-		Policy:  fetch.RetryPolicy{MaxAttempts: *retries, Seed: *seed},
-		Metrics: &reg.Fetch,
+	retrier := &fetch.Retrier{
+		Inner:  fetcher,
+		Policy: fetch.RetryPolicy{MaxAttempts: *retries, Seed: *seed},
 	}
 	pool := sched.NewPool(*concurrency)
 	defer pool.Close()
 	pool.SetMetrics(&reg.Sched)
 	cr := &crawler.Crawler{
-		Fetcher: fetcher,
+		Fetcher: retrier,
 		Config: crawler.Config{
 			MaxDepth: *depth, MaxURLs: *maxURLs,
 			Country: c.Code, VPN: c.VPN,
 		},
-		Pool:    pool,
-		Metrics: &reg.Crawl,
+		Pool: pool,
 	}
 	//lint:ignore nondeterminism -- stderr elapsed-time progress line; no archive bytes derive from it
 	start := time.Now()
-	archive, err := cr.Crawl(ctx, landings)
+	archive, frontier, err := cr.Crawl(ctx, landings)
 	if err != nil {
 		fatal(err)
 	}
 	if *metricsOut != "" {
+		tally := metrics.CrawlTally{
+			RetriesByKind:     retrier.Stats().RetriesByKind,
+			FrontierTruncated: frontier.Truncated,
+			URLsByDepth:       frontier.AdmittedByDepth,
+		}
+		if injector != nil {
+			tally.Injections = injector.Injections()
+		}
+		var ledger metrics.Deterministic
+		ledger.AddCrawl(tally)
+		reg.SetDeterministic(ledger)
 		snap := reg.Snapshot()
 		switch *metricsOut {
 		case "text":

@@ -202,18 +202,6 @@ func TestGlobalProviderFootprints(t *testing.T) {
 	}
 }
 
-func TestTopProviderReliance(t *testing.T) {
-	ds := tinyDataset()
-	rel := TopProviderReliance(ds)
-	if len(rel) == 0 || rel[0].Country != "UY" || rel[0].ASN != 13335 {
-		t.Fatalf("reliance = %+v", rel)
-	}
-	// UY: 700 of 1000 bytes on Cloudflare.
-	if math.Abs(rel[0].Share-0.7) > 1e-9 {
-		t.Fatalf("UY Cloudflare byte share = %v, want 0.7", rel[0].Share)
-	}
-}
-
 func TestDiversifyAndSingleNetwork(t *testing.T) {
 	ds := tinyDataset()
 	divs := Diversify(ds)

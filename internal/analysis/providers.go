@@ -45,57 +45,6 @@ func GlobalProviderFootprints(ds *dataset.Dataset) []ProviderFootprint {
 	return out
 }
 
-// ProviderReliance is a §7.1 anecdote: the byte share one provider
-// holds inside one country.
-type ProviderReliance struct {
-	Country string
-	ASN     int
-	Org     string
-	Share   float64 // of the country's bytes
-}
-
-// TopProviderReliance returns, per country, the global provider with
-// the largest byte share, ranked by that share (the Amazon-97 %,
-// Cloudflare-72 % anecdotes).
-func TopProviderReliance(ds *dataset.Dataset) []ProviderReliance {
-	type key struct {
-		country string
-		asn     int
-	}
-	bytes := map[key]int64{}
-	totals := map[string]int64{}
-	orgs := map[int]string{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		totals[r.Country] += r.Bytes
-		if r.Category != world.Cat3PGlobal {
-			continue
-		}
-		bytes[key{r.Country, r.ASN}] += r.Bytes
-		orgs[r.ASN] = r.Org
-	}
-	best := map[string]ProviderReliance{}
-	for k, b := range bytes {
-		share := float64(b) / float64(totals[k.country])
-		if cur, ok := best[k.country]; !ok || share > cur.Share {
-			best[k.country] = ProviderReliance{
-				Country: k.country, ASN: k.asn, Org: orgs[k.asn], Share: share,
-			}
-		}
-	}
-	out := make([]ProviderReliance, 0, len(best))
-	for _, v := range best {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].Country < out[j].Country
-	})
-	return out
-}
-
 // Diversification is one country's Fig. 11 data point.
 type Diversification struct {
 	Country     string

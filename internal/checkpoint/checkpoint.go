@@ -6,12 +6,13 @@
 // dominant waste).
 //
 // A checkpoint directory holds one manifest (the study parameters that
-// must match for stored work to be reusable) and one file per finished
-// country carrying its records, coverage statistics, method tallies,
-// failed hostnames with their lookup counts, and the country's
-// directly attributable deterministic metric delta. A resume only
-// loads: stored countries splice into the dataset as they are, and
-// nothing is replayed into the study's caches. Records are stored
+// must match for stored work to be reusable, and the file format) and
+// one file per finished country carrying its records, coverage
+// statistics, method tallies, failed hostnames with their lookup
+// counts, and the crawl tally row — the few deterministic counts
+// nothing else stored determines. A resume only loads: stored
+// countries splice into the dataset as they are, and nothing is
+// replayed into the study's caches. Records are stored
 // pre-category: provider categories depend on the study-global
 // continental span of each ASN, so they are assigned only once every
 // country is in — the resuming run re-derives them, which is exactly
@@ -70,6 +71,11 @@ import (
 // — and between a shard worker (which always skips them) and the
 // assembly pass.
 type Manifest struct {
+	// Format is the country-file format the directory was written in,
+	// always FormatVersion. A directory from before the field existed
+	// decodes as 0, so Open refuses it with a MismatchError instead of
+	// resuming it into a short ledger.
+	Format            int      `json:"format"`
 	Seed              int64    `json:"seed"`
 	Scale             float64  `json:"scale"`
 	Countries         []string `json:"countries"` // resolved study codes, sorted
@@ -85,19 +91,17 @@ type Manifest struct {
 	TrendYears        int      `json:"trendYears,omitempty"`
 	IPInfoErrorRate   float64  `json:"ipinfoErrorRate"`
 	ManycastRecall    float64  `json:"manycastRecall"`
-	// DisableMetrics is always written false: metrics are always on.
-	// It stays so that a directory written by an older metrics-off run,
-	// whose countries carry empty metric deltas, is refused with a
-	// MismatchError instead of resumed into a short ledger.
-	DisableMetrics bool `json:"disableMetrics,omitempty"`
 }
+
+// FormatVersion is the country-file format this package writes: each
+// country carries its crawl tally row.
+const FormatVersion = 1
 
 // HostOutcome records one hostname whose resolution failed, with the
 // number of lookups the country issued for it — the country's share of
 // the shared resolution cache's negative entries and hits (successful
 // hosts need no separate entry: their lookups are counted from the
-// records). Older files also carry a "failKind" key, which decoding
-// ignores, so they still resume.
+// records).
 type HostOutcome struct {
 	Host    string `json:"host"`
 	Lookups int64  `json:"lookups,omitempty"`
@@ -120,16 +124,12 @@ type Country struct {
 	// that failed, with their lookup counts, so the assembling run can
 	// derive the resolution cache's accounting.
 	FailedHosts []HostOutcome `json:"failedHosts,omitempty"`
-	// Delta is the country's directly attributable deterministic
-	// metric contribution: its fork registry's counters only —
-	// scheduler items, fetches, retries, injections, frontier, pipeline
-	// rows. Shares of the shared caches (resolution, geolocation, DNS
-	// fault replays) are deliberately absent: they depend on which
-	// other countries are in the study, so the assembling run derives
-	// them once from its whole dataset. That keeps deltas valid however
-	// many processes wrote the directory and however many generations
-	// of resume it went through.
-	Delta metrics.Deterministic `json:"delta"`
+	// Tally is the country's crawl tally row: retries by kind, fault
+	// injections, frontier truncation and admissions per depth. The
+	// rest of the country's deterministic ledger follows from Stats,
+	// Methods, Records and FailedHosts, and the shared caches' share
+	// from the whole study, so the assembling run derives it once.
+	Tally metrics.CrawlTally `json:"tally"`
 }
 
 // Options parameterises Open.
@@ -580,7 +580,7 @@ const (
 
 // countryKeys are Country's json keys, indexed like the destinations
 // decodeCountry assigns them to.
-var countryKeys = []string{"code", "stats", "methods", "records", "failedHosts", "delta"}
+var countryKeys = []string{"code", "stats", "methods", "records", "failedHosts", "tally"}
 
 const recordsKey = 3 // countryKeys index of "records"
 
@@ -606,7 +606,7 @@ func decodeCountry(dec *jsonrec.Decoder, raw []byte, name string) (Country, erro
 		return Country{}, errors.New("content checksum mismatch")
 	}
 	var c Country
-	dst := [...]any{&c.Code, &c.Stats, &c.Methods, nil, &c.FailedHosts, &c.Delta}
+	dst := [...]any{&c.Code, &c.Stats, &c.Methods, nil, &c.FailedHosts, &c.Tally}
 	err := dec.Object(body, countryKeys, func(f int, val []byte) (int, error) {
 		if f == recordsKey {
 			recs, n, err := dec.Records(val)

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,8 +29,11 @@ func testCountry(code string) Country {
 			Country: code, IP: netip.MustParseAddr("192.0.2.7"), ASN: 64500,
 		}},
 		FailedHosts: []HostOutcome{{Host: "bad." + strings.ToLower(code), Lookups: 2}},
-		Delta: metrics.Deterministic{
-			Cache: metrics.CacheCounters{Lookups: 2, Misses: 2},
+		Tally: metrics.CrawlTally{
+			RetriesByKind:     map[string]int64{"timeout": 2},
+			Injections:        map[string]int64{"flap": 1, "timeout": 3},
+			FrontierTruncated: 1,
+			URLsByDepth:       []int64{2, 8},
 		},
 	}
 }
@@ -77,8 +81,8 @@ func TestOpenFreshThenResumeRoundTrips(t *testing.T) {
 	if len(got.FailedHosts) != 1 || got.FailedHosts[0].Lookups != 2 {
 		t.Fatalf("failed hosts diverged: %+v", got.FailedHosts)
 	}
-	if got.Delta.Cache.Lookups != 2 {
-		t.Fatalf("delta diverged: %+v", got.Delta)
+	if !reflect.DeepEqual(got.Tally, want.Tally) {
+		t.Fatalf("tally diverged: %+v", got.Tally)
 	}
 }
 

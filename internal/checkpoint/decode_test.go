@@ -21,8 +21,10 @@ import (
 // file: the envelope unmarshalled with the body as a RawMessage, the
 // checksum compared, then the body unmarshalled reflectively. It is
 // the reference decodeCountry is held to — whatever decodeCountry
-// accepts, this accepts with an identical Country. It is more lenient
-// about framing (any JSON spelling of the envelope loads).
+// accepts, this accepts with an identical Country, tally row included.
+// It is more lenient about framing (any JSON spelling of the envelope
+// loads). Both ignore keys Country does not declare, such as the
+// "delta" of files written before the tally row replaced it.
 func decodeCountryReference(raw []byte, name string) (Country, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {

@@ -528,12 +528,17 @@ func TestMetricsSnapshotInvariants(t *testing.T) {
 
 // TestMetricsRetryBudgetBound: the deterministic retry counter must
 // respect a binding study-wide budget even though which retries got
-// the tokens is interleaving-dependent.
+// the tokens is interleaving-dependent, and the runtime half must count
+// the retries the budget denied the government crawls (the config
+// skips topsites).
 func TestMetricsRetryBudgetBound(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.RetryBudget = 10
 	_, _, snap := runWithMetrics(t, cfg)
 	if got := snap.Deterministic.Fetch.Retries; got > 10 {
 		t.Errorf("snapshot counts %d retries against a budget of 10", got)
+	}
+	if got := snap.Runtime.Fetch.BudgetDenied; got == 0 {
+		t.Error("budget_denied = 0 under a binding budget of 10")
 	}
 }

@@ -426,10 +426,10 @@ func TestAnnotateSharedNegativeCache(t *testing.T) {
 	bad := har.Entry{URL: "https://broken.gub.uy/", Host: "broken.gub.uy", Status: 200, BodySize: 1}
 
 	for i := 0; i < 3; i++ {
-		if _, err := env.annotate(c, good, &env.metrics.Pipeline); err != nil {
+		if _, err := env.annotate(c, good); err != nil {
 			t.Fatalf("annotate(good) attempt %d: %v", i, err)
 		}
-		if _, err := env.annotate(c, bad, &env.metrics.Pipeline); err == nil {
+		if _, err := env.annotate(c, bad); err == nil {
 			t.Fatalf("annotate(bad) attempt %d succeeded", i)
 		}
 	}

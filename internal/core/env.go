@@ -171,9 +171,10 @@ type Env struct {
 	// it to observe or fault-inject lookups.
 	resolveHost resolveFunc
 
-	// metrics is the study-wide per-stage instrumentation registry,
-	// shared by the scheduler, cache, fetch stack, fault injector and
-	// crawler; nil only for loaded studies, which never ran a pipeline.
+	// metrics is the study-wide per-stage instrumentation registry:
+	// runtime observations from the scheduler, caches and merge sink,
+	// and the deterministic ledger Run computes at the end; nil only
+	// for loaded studies, which never ran a pipeline.
 	metrics *metrics.Registry
 
 	// afterFlush, when set, is called by the merge sink after each

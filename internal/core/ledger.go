@@ -2,21 +2,92 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/faults"
+	"repro/internal/govclass"
 	"repro/internal/metrics"
 	"repro/internal/probing"
 )
 
-// sharedLedger derives the deterministic counters of the study-wide
+// studyLedger computes the deterministic half of the metrics snapshot,
+// once, from the assembled study: the dataset, every assembled country
+// (fresh, loaded from a checkpoint, or a transient failure row) and the
+// topsite crawls' failed resolutions and tally rows. Nothing counts
+// these numbers live, so a fresh run, a resumed run, a shard worker and
+// a shard assembly derive the same ledger from the same study.
+//
+// Per country, Attempted, Failures, Retries and VantageAttempts are
+// the stats row's, Records is the country's record count, Discarded
+// its discarded classifications, and Unusable closes the accounting
+// identity. Every annotation is a record or a failed lookup; a
+// country's annotations run on the scheduler as one item each, as do
+// the fetches of every admitted URL, while topsite annotations run in
+// a plain loop. The crawl tally rows supply the rest (metrics.AddCrawl).
+func studyLedger(ds *dataset.Dataset, countries []*countryDone, topFailed []checkpoint.HostOutcome, topTallies []metrics.CrawlTally, plan *faults.Plan, geo bool) metrics.Deterministic {
+	failed := slices.Clone(topFailed)
+	for _, c := range countries {
+		failed = append(failed, c.failed...)
+	}
+	d := sharedLedger(ds, failed, plan, geo)
+
+	records := map[string]int64{}
+	for i := range ds.Records {
+		records[ds.Records[i].Country]++
+	}
+	p := &d.Pipeline
+	for _, c := range countries {
+		st := c.stats
+		row := metrics.CountryCounters{
+			Attempted:       int64(st.Attempted),
+			Records:         records[c.code],
+			Failures:        int64(st.FailedURLs),
+			Discarded:       int64(c.methods[govclass.MethodDiscarded]),
+			Retries:         int64(st.Retries),
+			VantageAttempts: int64(st.VantageAttempts),
+		}
+		row.Unusable = row.Attempted - row.Records - row.Failures - row.Discarded
+		if p.Countries == nil {
+			p.Countries = map[string]metrics.CountryCounters{}
+		}
+		p.Countries[c.code] = row
+		p.CountriesRun++
+		if st.Failed {
+			p.CountriesFailed++
+		}
+		p.Records += row.Records
+		p.Failures += row.Failures
+		//lint:ignore map-order -- per-kind sums commute, and JSON renders the kinds sorted
+		for kind, n := range st.Failures {
+			metrics.AddLabel(&p.FailuresByKind, kind, int64(n))
+		}
+		annotations := row.Records
+		for _, h := range c.failed {
+			annotations += h.Lookups
+		}
+		p.Annotations += annotations
+		d.Sched.ItemsScheduled += annotations
+		d.Sched.ItemsRun += annotations
+		d.AddCrawl(c.tally)
+	}
+	p.Annotations += int64(len(ds.Topsites))
+	for _, h := range topFailed {
+		p.Annotations += h.Lookups
+	}
+	for _, t := range topTallies {
+		d.AddCrawl(t)
+	}
+	return d
+}
+
+// sharedLedger derives studyLedger's counters of the study-wide
 // caches — hostname resolution, unicast and anycast geolocation — and
 // the SERVFAILs the DNS fault layer injected, from the assembled
-// dataset. It is the only place those counters are decided: the caches
-// themselves record nothing deterministic, so a fresh run, a resumed
-// run, a shard worker and a shard assembly all count the same way,
-// whichever process actually filled each entry.
+// dataset. The caches themselves record nothing deterministic, so
+// every run counts the same way, whichever process actually filled
+// each entry.
 //
 // The attribution follows from the caches being single-flight and
 // study-wide:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/faults"
+	"repro/internal/govclass"
 	"repro/internal/metrics"
 	"repro/internal/probing"
 )
@@ -130,5 +131,71 @@ func TestSharedLedger(t *testing.T) {
 				t.Errorf("sharedLedger =\n%+v\nwant\n%+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestStudyLedger pins studyLedger on a hand-built study: a crawled
+// country with a truncated frontier and a failed lookup, a country
+// whose vantage failed after injected egress flaps, a transient
+// failure row, and topsite crawls whose failed lookups are annotations
+// but not scheduler items.
+func TestStudyLedger(t *testing.T) {
+	ip := netip.MustParseAddr("192.0.2.1")
+	ds := &dataset.Dataset{
+		Records: []dataset.URLRecord{
+			{Host: "a.us", Country: "US", IP: ip},
+			{Host: "b.us", Country: "US", IP: ip},
+		},
+		Topsites: []dataset.URLRecord{{Host: "top.example", Country: "US", IP: ip}},
+	}
+	countries := []*countryDone{
+		{
+			code:  "NG",
+			stats: &dataset.CountryStats{Country: "NG", Failed: true, VantageAttempts: 3},
+			tally: metrics.CrawlTally{Injections: map[string]int64{"flap": 2}},
+		},
+		{
+			code: "US",
+			stats: &dataset.CountryStats{
+				Country: "US", Attempted: 6, FailedURLs: 2,
+				Failures: map[string]int{"timeout": 1, "dns": 1}, Retries: 3, VantageAttempts: 1,
+			},
+			methods: map[govclass.URLMethod]int{govclass.MethodDiscarded: 1, govclass.MethodTLD: 2},
+			failed:  []checkpoint.HostOutcome{{Host: "bad.us", Lookups: 1}},
+			tally: metrics.CrawlTally{
+				URLsByDepth:       []int64{2, 4},
+				FrontierTruncated: 5,
+				RetriesByKind:     map[string]int64{"timeout": 3},
+				Injections:        map[string]int64{"timeout": 4},
+			},
+		},
+		{code: "ZZ", stats: &dataset.CountryStats{Country: "ZZ", Failed: true}},
+	}
+	topFailed := []checkpoint.HostOutcome{{Host: "down.example", Lookups: 1}}
+	topTallies := []metrics.CrawlTally{{URLsByDepth: []int64{1, 2}, RetriesByKind: map[string]int64{"reset": 1}}}
+
+	got := studyLedger(ds, countries, topFailed, topTallies, nil, false)
+	want := metrics.Deterministic{
+		// 9 admitted URLs plus US's 3 annotations (2 records, 1 failed
+		// lookup); topsite annotations are not scheduler items.
+		Sched:  metrics.SchedCounters{ItemsScheduled: 12, ItemsRun: 12},
+		Cache:  metrics.CacheCounters{Lookups: 5, Misses: 5, NegativeEntries: 2},
+		Fetch:  metrics.FetchCounters{Attempts: 13, Retries: 4, RetriesByKind: map[string]int64{"timeout": 3, "reset": 1}},
+		Faults: metrics.FaultCounters{Injections: map[string]int64{"timeout": 4, "flap": 2}},
+		Crawl:  metrics.CrawlCounters{FrontierAdmitted: 9, FrontierTruncated: 5, URLsByDepth: []int64{3, 6}},
+		Pipeline: metrics.PipelineCounters{
+			Annotations: 5, Records: 2, Failures: 2,
+			FailuresByKind:  map[string]int64{"timeout": 1, "dns": 1},
+			CountriesRun:    3,
+			CountriesFailed: 2,
+			Countries: map[string]metrics.CountryCounters{
+				"NG": {VantageAttempts: 3},
+				"US": {Attempted: 6, Records: 2, Failures: 2, Discarded: 1, Unusable: 1, Retries: 3, VantageAttempts: 1},
+				"ZZ": {},
+			},
+		},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("studyLedger =\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -195,7 +195,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 		}
 		if err := sink.complete(&countryDone{
 			code: lc.Code, stats: lc.Stats, records: lc.Records,
-			methods: methods, failed: lc.FailedHosts, delta: lc.Delta,
+			methods: methods, failed: lc.FailedHosts, tally: lc.Tally,
 		}); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -228,7 +228,6 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 				Failed:        true,
 				FailureReason: "shard worker exhausted its restart budget; country not collected",
 			}
-			env.metrics.Pipeline.RecordCountry(code, metrics.CountryCounters{}, true, nil)
 			if err := sink.complete(&countryDone{code: code, stats: stats}); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -237,9 +236,7 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 
 	// A fixed team of coordinators pulls country indexes from a
 	// channel; all their fetch/annotate work funnels through the shared
-	// pool. Each fresh country records its attributable deterministic
-	// counters into a fork registry, absorbed study-wide at flush — the
-	// separation checkpointing needs.
+	// pool.
 	errs := make([]error, len(run))
 	idx := make(chan int)
 	wait := sched.Workers(cfg.CountryConcurrency, func(int) {
@@ -247,14 +244,12 @@ func (env *Env) Run(ctx context.Context) (*dataset.Dataset, error) {
 			if ctx.Err() != nil {
 				continue // drain the remaining indexes without working
 			}
-			fork := metrics.New()
-			d, err := env.runCountry(ctx, run[i], pool, fork)
+			d, err := env.runCountry(ctx, run[i], pool)
 			if err != nil {
 				errs[i] = err
 				continue
 			}
 			d.fresh = true
-			d.delta = fork.Snapshot().Deterministic
 			sinkMu.Lock()
 			err = sink.complete(d)
 			sinkMu.Unlock()
@@ -304,16 +299,18 @@ feed:
 
 	sink.assemble()
 
+	var topFailed []checkpoint.HostOutcome
+	var topTallies []metrics.CrawlTally
 	if !cfg.SkipTopsites {
 		topStart := runtimeNow()
-		failed, err := env.runTopsites(ctx, ds, pool)
+		var err error
+		topFailed, topTallies, err = env.runTopsites(ctx, ds, pool)
 		if err != nil {
 			return nil, err
 		}
-		sink.failed = append(sink.failed, failed...)
 		env.metrics.Pipeline.ObserveStage("topsites", runtimeSince(topStart))
 	}
-	env.metrics.AddDeterministic(sharedLedger(ds, sink.failed, env.Faults, !cfg.TrustIPInfo))
+	env.metrics.SetDeterministic(studyLedger(ds, sink.done, topFailed, topTallies, env.Faults, !cfg.TrustIPInfo))
 
 	assignCategories(env, ds)
 	ds.FillTotals()
@@ -332,7 +329,8 @@ func (env *Env) manifest(countries []*world.Country) checkpoint.Manifest {
 	}
 	sort.Strings(codes)
 	return checkpoint.Manifest{
-		Seed: cfg.Seed, Scale: cfg.Scale, Countries: codes,
+		Format: checkpoint.FormatVersion,
+		Seed:   cfg.Seed, Scale: cfg.Scale, Countries: codes,
 		CrawlDepth: cfg.CrawlDepth, MaxURLsPerCrawl: cfg.MaxURLsPerCrawl,
 		FaultProfile: cfg.FaultProfile, FaultSeed: cfg.FaultSeed,
 		RetryAttempts: cfg.RetryAttempts, RetryBudget: cfg.RetryBudget,
@@ -384,34 +382,42 @@ const maxVantageAttempts = 3
 // connectVantage obtains a location-validated vantage for c, retrying
 // with fresh egresses on validation failure (or on an injected egress
 // flap). It reports the attempts used so coverage stats record how
-// hard the vantage was to pin down. Injected flaps land in fam —
-// the country's fork, so the injection is attributable and
-// checkpointable.
-func (env *Env) connectVantage(c *world.Country, fam *metrics.FaultMetrics) (*vantage.Point, int, error) {
+// hard the vantage was to pin down, and the flaps injected on the way.
+func (env *Env) connectVantage(c *world.Country) (*vantage.Point, int, int64, error) {
 	var err error
+	var flaps int64
 	for attempt := 0; attempt < maxVantageAttempts; attempt++ {
 		vp := vantage.ConnectAttempt(c, env.Estate, env.Net, env.Config.Seed, attempt)
 		err = vp.ValidateLocation(env.Net)
 		if err == nil && env.Faults != nil && env.Faults.EgressFlap(c.Code, attempt) {
-			fam.Inject(string(faults.KindFlap))
+			flaps++
 			err = fmt.Errorf("faults: egress %v flapped during validation (injected)", vp.Egress)
 		}
 		if err == nil {
-			return vp, attempt + 1, nil
+			return vp, attempt + 1, flaps, nil
 		}
 	}
-	return nil, maxVantageAttempts, err
+	return nil, maxVantageAttempts, flaps, err
 }
 
-// fetchStack assembles the per-country fetch pipeline: the vantage's
-// raw fetcher, the fault injector when a plan is active, and the
-// retrying fetcher on top — classification-driven retries with capped,
-// seed-jittered backoff, drawing on the pool's study-wide retry
-// budget. The metric targets are parameters so a country's fork (or
-// the study registry, for topsites) receives the accounting.
-func (env *Env) fetchStack(inner fetch.Fetcher, pool *sched.Pool, fm *metrics.FetchMetrics, fam *metrics.FaultMetrics) *fetch.Retrier {
+// addFlaps counts a country's injected egress flaps into its tally.
+func addFlaps(t *metrics.CrawlTally, flaps int64) {
+	if flaps > 0 {
+		metrics.AddLabel(&t.Injections, string(faults.KindFlap), flaps)
+	}
+}
+
+// crawl runs one crawl on the shared pool through the fetch stack: the
+// vantage's raw fetcher, the fault injector when a plan is active, and
+// the retrying fetcher on top — classification-driven retries with
+// capped, seed-jittered backoff, drawing on the pool's study-wide
+// retry budget. It returns the archive with the crawl's tally row, and
+// adds the retrier's budget denials to the runtime metrics.
+func (env *Env) crawl(ctx context.Context, pool *sched.Pool, inner fetch.Fetcher, cfg crawler.Config, landings []string) (*har.Archive, metrics.CrawlTally, error) {
+	var injector *faults.Fetcher
 	if env.Faults != nil {
-		inner = &faults.Fetcher{Inner: inner, Plan: env.Faults, Metrics: fam}
+		injector = &faults.Fetcher{Inner: inner, Plan: env.Faults}
+		inner = injector
 	}
 	r := &fetch.Retrier{
 		Inner: inner,
@@ -419,12 +425,23 @@ func (env *Env) fetchStack(inner fetch.Fetcher, pool *sched.Pool, fm *metrics.Fe
 			MaxAttempts: env.Config.RetryAttempts,
 			Seed:        env.Config.Seed,
 		},
-		Metrics: fm,
 	}
 	if b := pool.RetryBudget(); b != nil {
 		r.Budget = b
 	}
-	return r
+	cr := &crawler.Crawler{Fetcher: r, Config: cfg, Pool: pool}
+	archive, fr, err := cr.Crawl(ctx, landings)
+	rs := r.Stats()
+	env.metrics.Fetch.BudgetDenied.Add(int64(rs.BudgetDenied))
+	tally := metrics.CrawlTally{
+		RetriesByKind:     rs.RetriesByKind,
+		FrontierTruncated: fr.Truncated,
+		URLsByDepth:       fr.AdmittedByDepth,
+	}
+	if injector != nil {
+		tally.Injections = injector.Injections()
+	}
+	return archive, tally, err
 }
 
 // candidate indexes an archive entry admitted to annotation, with the
@@ -438,27 +455,24 @@ type candidate struct {
 
 // classifyEntries runs the §3.3 classifier over a crawl archive,
 // splitting usable entries into annotation candidates and tallying
-// classification outcomes so the per-country accounting identity
-// (Attempted == Records + Failures + Discarded + Unusable) closes.
+// classification outcomes, which feed the per-country accounting
+// identity (Attempted == Records + Failures + Discarded + Unusable).
 //
 // Method tallies skip the landing seeds — they are study inputs, not
 // crawl discoveries — with one deliberate exception: discarded entries
 // count unconditionally. The coverage identity counts every discarded
-// entry, landing or not, so gating the discarded tally behind the
-// landing check (as the other methods are gated) made the dataset's
-// Discarded total disagree with the metrics ledger whenever a landing
-// URL itself classified as discarded.
-func classifyEntries(classifier *govclass.URLClassifier, entries []har.Entry, landingSet map[string]bool) (candidates []candidate, methods map[govclass.URLMethod]int, unusable int64) {
+// entry, landing or not, and the ledger derives each country's
+// Unusable count from it, so gating the discarded tally behind the
+// landing check (as the other methods are gated) would skew the ledger
+// whenever a landing URL itself classified as discarded.
+func classifyEntries(classifier *govclass.URLClassifier, entries []har.Entry, landingSet map[string]bool) (candidates []candidate, methods map[govclass.URLMethod]int) {
 	methods = make(map[govclass.URLMethod]int)
 	for i := range entries {
 		entry := &entries[i]
 		// Failure covers the degraded-but-200 cases (truncation): an
 		// entry is either a coverage loss or a record, never both.
 		if entry.Status != 200 || entry.Failure != "" {
-			if entry.Failure == "" {
-				unusable++ // e.g. a 404: healthy fetch, no usable body
-			}
-			continue
+			continue // a failure, or e.g. a 404: healthy fetch, no usable body
 		}
 		method := classifier.Classify(entry.Host)
 		if method == govclass.MethodDiscarded {
@@ -470,7 +484,7 @@ func classifyEntries(classifier *govclass.URLClassifier, entries []har.Entry, la
 		}
 		candidates = append(candidates, candidate{idx: i, method: method})
 	}
-	return candidates, methods, unusable
+	return candidates, methods
 }
 
 // runCountry performs the §3 pipeline for one country; every fetch and
@@ -478,12 +492,10 @@ func classifyEntries(classifier *govclass.URLClassifier, entries []har.Entry, la
 // gracefully: an unvalidatable vantage yields a Failed stats entry
 // (the study continues without the country), and per-URL failures
 // classify into the stats' coverage taxonomy instead of vanishing.
-//
-// Deterministic, attributable counters land in the country's fork
-// registry (carried inside the returned countryDone) so the merge sink
-// can absorb — and checkpoint — them at flush; wall-clock timings stay
-// on the study registry, which never feeds golden comparisons.
-func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Pool, fork *metrics.Registry) (*countryDone, error) {
+// The returned countryDone carries the crawl's tally row; wall-clock
+// timings go to the study registry, which never feeds golden
+// comparisons.
+func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Pool) (*countryDone, error) {
 	cfg := env.Config
 	landings := env.Estate.LandingURLs[c.Code]
 	stats := &dataset.CountryStats{
@@ -498,16 +510,17 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	// §3.2: connect through an in-country VPN vantage and validate its
 	// claimed location before trusting it; reconnect on failure.
 	stageStart := runtimeNow()
-	vp, attempts, vErr := env.connectVantage(c, &fork.Faults)
+	vp, attempts, flaps, vErr := env.connectVantage(c)
 	timings.Vantage = runtimeSince(stageStart)
 	stats.VantageAttempts = attempts
 	if vErr != nil {
 		stats.Failed = true
 		stats.FailureReason = fmt.Sprintf("vantage validation: %v", vErr)
-		fork.Pipeline.RecordCountry(c.Code, metrics.CountryCounters{VantageAttempts: int64(attempts)}, true, nil)
 		pm.RecordCountryTimings(c.Code, timings)
 		pm.ObserveStage("vantage", timings.Vantage)
-		return &countryDone{code: c.Code, stats: stats}, nil
+		d := &countryDone{code: c.Code, stats: stats}
+		addFlaps(&d.tally, flaps)
+		return d, nil
 	}
 
 	// The country's page trees and certificates are built on its first
@@ -517,25 +530,18 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	env.Estate.BuildCountry(c.Code)
 	timings.Estate = runtimeSince(stageStart)
 
-	retrier := env.fetchStack(vp.Fetcher, pool, &fork.Fetch, &fork.Faults)
-	cr := &crawler.Crawler{
-		Fetcher: retrier,
-		Config: crawler.Config{
-			MaxDepth: cfg.CrawlDepth,
-			MaxURLs:  cfg.MaxURLsPerCrawl,
-			Country:  c.Code,
-			VPN:      vp.VPN,
-		},
-		Pool:    pool,
-		Metrics: &fork.Crawl,
-		Sched:   &fork.Sched,
-	}
 	stageStart = runtimeNow()
-	archive, err := cr.Crawl(ctx, landings)
+	archive, tally, err := env.crawl(ctx, pool, vp.Fetcher, crawler.Config{
+		MaxDepth: cfg.CrawlDepth,
+		MaxURLs:  cfg.MaxURLsPerCrawl,
+		Country:  c.Code,
+		VPN:      vp.VPN,
+	}, landings)
 	timings.Crawl = runtimeSince(stageStart)
 	if err != nil {
 		return nil, err
 	}
+	addFlaps(&tally, flaps)
 
 	// Coverage accounting: every crawled URL either produced a usable
 	// entry or a classified failure.
@@ -553,7 +559,7 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	for _, l := range landings {
 		landingSet[l] = true
 	}
-	candidates, methods, unusable := classifyEntries(classifier, archive.Entries, landingSet)
+	candidates, methods := classifyEntries(classifier, archive.Entries, landingSet)
 	timings.Classify = runtimeSince(stageStart)
 
 	// Candidates are sorted by URL before annotation, so records come
@@ -572,8 +578,8 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	recs := make([]dataset.URLRecord, len(candidates))
 	errs := make([]error, len(candidates))
 	stageStart = runtimeNow()
-	pool.EachWith(ctx, len(candidates), &fork.Sched, func(i int) {
-		recs[i], errs[i] = env.annotate(c, archive.Entries[candidates[i].idx], &fork.Pipeline)
+	pool.Each(ctx, len(candidates), func(i int) {
+		recs[i], errs[i] = env.annotate(c, archive.Entries[candidates[i].idx])
 	})
 	timings.Annotate = runtimeSince(stageStart)
 	if err := ctx.Err(); err != nil {
@@ -612,18 +618,9 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 
 	stats.InternalURLs = methods[govclass.MethodTLD] + methods[govclass.MethodDomain] + methods[govclass.MethodSAN]
 	stats.Hostnames = len(resolved)
-	stats.Retries = int(retrier.Stats().Retries)
-	discarded := int64(methods[govclass.MethodDiscarded])
-
-	fork.Pipeline.RecordCountry(c.Code, metrics.CountryCounters{
-		Attempted:       int64(stats.Attempted),
-		Records:         int64(len(records)),
-		Failures:        int64(stats.FailedURLs),
-		Discarded:       discarded,
-		Unusable:        unusable,
-		Retries:         int64(stats.Retries),
-		VantageAttempts: int64(stats.VantageAttempts),
-	}, false, stats.Failures)
+	for _, n := range tally.RetriesByKind {
+		stats.Retries += int(n)
+	}
 	pm.RecordCountryTimings(c.Code, timings)
 	pm.ObserveStage("vantage", timings.Vantage)
 	pm.ObserveStage("estate", timings.Estate)
@@ -632,17 +629,15 @@ func (env *Env) runCountry(ctx context.Context, c *world.Country, pool *sched.Po
 	pm.ObserveStage("annotate", timings.Annotate)
 	return &countryDone{
 		code: c.Code, stats: stats, records: records,
-		methods: methods, failed: failedHosts,
+		methods: methods, failed: failedHosts, tally: tally,
 	}, nil
 }
 
 // annotate resolves one crawled URL to its serving infrastructure
 // (Table 2) and validated location. Resolution goes through the
 // study-wide cache, so each distinct hostname — resolvable or not — is
-// looked up once across all countries. The annotation counter lands in
-// pm — the country's fork (or the study registry, for topsites).
-func (env *Env) annotate(c *world.Country, entry har.Entry, pm *metrics.PipelineMetrics) (dataset.URLRecord, error) {
-	pm.RecordAnnotation()
+// looked up once across all countries.
+func (env *Env) annotate(c *world.Country, entry har.Entry) (dataset.URLRecord, error) {
 	rec := dataset.URLRecord{
 		URL:     entry.URL,
 		Host:    entry.Host,

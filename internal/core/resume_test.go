@@ -262,7 +262,7 @@ func TestRecordsInFlightHighWater(t *testing.T) {
 // TestClassifyEntriesCountsDiscardedLandings is the accounting-bug
 // regression: a landing URL that classifies as discarded must appear
 // in the method tally exactly like any other discarded entry, or the
-// dataset's Discarded total and the metrics ledger disagree.
+// ledger's derived Unusable count absorbs it.
 func TestClassifyEntriesCountsDiscardedLandings(t *testing.T) {
 	classifier := &govclass.URLClassifier{} // no landing hosts: every host discards
 	entries := []har.Entry{
@@ -273,14 +273,11 @@ func TestClassifyEntriesCountsDiscardedLandings(t *testing.T) {
 	}
 	landingSet := map[string]bool{"https://landing.example/": true}
 
-	candidates, methods, unusable := classifyEntries(classifier, entries, landingSet)
+	candidates, methods := classifyEntries(classifier, entries, landingSet)
 	if len(candidates) != 0 {
 		t.Fatalf("discarded entries produced %d candidates", len(candidates))
 	}
 	if got := methods[govclass.MethodDiscarded]; got != 2 {
 		t.Fatalf("discarded tally = %d, want 2 (the landing URL must count)", got)
-	}
-	if unusable != 1 {
-		t.Fatalf("unusable = %d, want 1 (the 404)", unusable)
 	}
 }

@@ -22,11 +22,9 @@ type countryDone struct {
 	// failed lists the hostnames whose resolution failed, with the
 	// lookups the country issued for each, sorted by host.
 	failed []checkpoint.HostOutcome
-	// delta is the country's directly-attributable deterministic
-	// metric contribution: a fresh country's fork snapshot or a
-	// reloaded country's stored copy of it. The shared caches' share is
-	// not in it; sharedLedger derives that once for the whole study.
-	delta metrics.Deterministic
+	// tally is the country's crawl tally row: the counts the ledger
+	// needs that nothing above determines.
+	tally metrics.CrawlTally
 
 	fresh  bool // ran in this process: counts as buffered while parked, and is persisted
 	parked bool // sat in pending behind an earlier country
@@ -44,10 +42,8 @@ type countryDone struct {
 // canonical order without a final global sort or a regrow per country.
 //
 // When a checkpoint store is attached, each fresh flush also persists
-// the country together with its deterministic delta and its failed
-// resolutions. The shared caches' counters are not stored: they are
-// set-level functions of the assembled records and failed lookups,
-// which Env.Run derives once after assembly.
+// the country together with its failed resolutions and tally row —
+// with the records and stats, everything studyLedger needs from it.
 type mergeSink struct {
 	env     *Env
 	ds      *dataset.Dataset
@@ -60,9 +56,9 @@ type mergeSink struct {
 	// until assemble concatenates them.
 	parts [][]dataset.URLRecord
 
-	// failed collects the flushed countries' failed resolutions —
-	// sharedLedger's input beside the records.
-	failed []checkpoint.HostOutcome
+	// done lists the flushed countries in flush order, their records
+	// released — studyLedger's input beside the dataset.
+	done []*countryDone
 }
 
 // newMergeSink builds a sink for the study's country set. The flush
@@ -137,12 +133,9 @@ func (s *mergeSink) assemble() {
 	s.parts = nil
 }
 
-// flush applies one country to the dataset, absorbs its deterministic
-// delta into the study registry, and — for fresh countries with a
-// store attached — persists it. Fresh and reloaded countries enter the
-// ledger the same way, through their delta; a transient failure row
-// carries none (its pipeline accounting was recorded directly by the
-// caller).
+// flush applies one country to the dataset and — for fresh countries
+// with a store attached — persists it. Fresh, reloaded and transient
+// failure rows all enter the ledger the same way, through done.
 func (s *mergeSink) flush(d *countryDone) error {
 	if d.parked {
 		s.env.metrics.Pipeline.RecordsInFlight(-int64(len(d.records)))
@@ -153,16 +146,14 @@ func (s *mergeSink) flush(d *countryDone) error {
 	s.ds.MethodDomain += d.methods[govclass.MethodDomain]
 	s.ds.MethodSAN += d.methods[govclass.MethodSAN]
 	s.ds.Discarded += d.methods[govclass.MethodDiscarded]
-	s.failed = append(s.failed, d.failed...)
-	s.env.metrics.AddDeterministic(d.delta)
 
 	if d.fresh && s.store != nil {
 		cp := checkpoint.Country{
 			Code:        d.code,
 			Stats:       d.stats,
 			Records:     d.records,
-			Delta:       d.delta,
 			FailedHosts: d.failed,
+			Tally:       d.tally,
 		}
 		if len(d.methods) > 0 {
 			cp.Methods = make(map[string]int, len(d.methods))
@@ -174,6 +165,8 @@ func (s *mergeSink) flush(d *countryDone) error {
 			return err
 		}
 	}
+	d.records = nil
+	s.done = append(s.done, d)
 	if s.env.afterFlush != nil {
 		s.env.afterFlush(d.code)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/crawler"
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/topsites"
 	"repro/internal/vantage"
@@ -18,10 +19,12 @@ import (
 // landing page, identifies self-hosting via the CNAME/SAN heuristic,
 // and annotates serving infrastructure exactly like the government
 // pipeline — through the same shared scheduler and resolution cache.
-// Topsites are never checkpointed; their failed resolutions are
-// returned, one lookup each, for the shared-cache ledger.
-func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sched.Pool) ([]checkpoint.HostOutcome, error) {
+// Topsites are never checkpointed; their failed resolutions (one
+// lookup each) and one tally row per crawl are returned for the
+// ledger.
+func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sched.Pool) ([]checkpoint.HostOutcome, []metrics.CrawlTally, error) {
 	var failed []checkpoint.HostOutcome
+	var tallies []metrics.CrawlTally
 	subset := env.topsiteCountrySet()
 	for _, code := range webgen.ComparisonCountries {
 		if !subset[code] {
@@ -38,24 +41,17 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 		for _, s := range sites {
 			landings = append(landings, s.Landing...)
 		}
-		cr := &crawler.Crawler{
-			// The baseline rides the same fault/retry stack as the
-			// government crawls, so chaos runs degrade it identically.
-			// Topsites are never checkpointed, so their accounting goes
-			// straight to the study registry, not a fork.
-			Fetcher: env.fetchStack(vp.Fetcher, pool, &env.metrics.Fetch, &env.metrics.Faults),
-			Config: crawler.Config{
-				MaxDepth: 1, // §5.1: top-site scraping stops one level down
-				Country:  code,
-				VPN:      vp.VPN,
-			},
-			Pool:    pool,
-			Metrics: &env.metrics.Crawl,
-		}
-		archive, err := cr.Crawl(ctx, landings)
+		// The baseline rides the same fault/retry stack as the
+		// government crawls, so chaos runs degrade it identically.
+		archive, tally, err := env.crawl(ctx, pool, vp.Fetcher, crawler.Config{
+			MaxDepth: 1, // §5.1: top-site scraping stops one level down
+			Country:  code,
+			VPN:      vp.VPN,
+		}, landings)
 		if err != nil {
-			return nil, fmt.Errorf("core: topsites %s: %w", code, err)
+			return nil, nil, fmt.Errorf("core: topsites %s: %w", code, err)
 		}
+		tallies = append(tallies, tally)
 
 		for _, entry := range archive.Entries {
 			if entry.Status != 200 || entry.Failure != "" {
@@ -65,7 +61,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			if site == nil || site.Kind != webgen.KindTopsite {
 				continue
 			}
-			rec, err := env.annotate(c, entry, &env.metrics.Pipeline)
+			rec, err := env.annotate(c, entry)
 			if err != nil {
 				failed = append(failed, checkpoint.HostOutcome{Host: entry.Host, Lookups: 1})
 				continue
@@ -79,7 +75,7 @@ func (env *Env) runTopsites(ctx context.Context, ds *dataset.Dataset, pool *sche
 			ds.Topsites = append(ds.Topsites, rec)
 		}
 	}
-	return failed, nil
+	return failed, tallies, nil
 }
 
 // topsiteCountrySet intersects the comparison subset with the

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/fetch"
 	"repro/internal/har"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -45,15 +44,17 @@ type Crawler struct {
 	// every crawl at once. Nil gives the crawl its own bounded pool of
 	// Config.Concurrency workers.
 	Pool *sched.Pool
-	// Metrics, when non-nil, receives frontier-admission accounting.
-	// Admission happens single-threaded between levels on sorted URL
-	// lists, so every count here is deterministic.
-	Metrics *metrics.CrawlMetrics
-	// Sched, when non-nil, receives this crawl's deterministic item
-	// counts instead of the shared pool's study-wide metrics — the seam
-	// that lets one country's scheduler contribution be checkpointed
-	// separately. Runtime queue accounting stays on the pool either way.
-	Sched *metrics.SchedMetrics
+}
+
+// Frontier is one crawl's admission accounting. Admission happens
+// single-threaded between levels on sorted URL lists, so every count
+// here is deterministic.
+type Frontier struct {
+	// AdmittedByDepth counts the URLs admitted at each depth level,
+	// from the landing level 0 to the deepest non-empty one.
+	AdmittedByDepth []int64
+	// Truncated counts the candidate URLs the MaxURLs cap evicted.
+	Truncated int64
 }
 
 // task is one URL scheduled for fetching.
@@ -81,8 +82,9 @@ type fetched struct {
 // measurement harness tolerates partial failures; geo-blocks, 5xx and
 // truncated bodies likewise classify into the entry's Failure bucket.
 // Cancellation abandons queued work promptly and returns the context
-// error alongside the partial archive.
-func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, error) {
+// error alongside the partial archive. The Frontier reports how the
+// admitted URL set was cut.
+func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, Frontier, error) {
 	maxDepth := c.Config.MaxDepth
 	if maxDepth == 0 {
 		maxDepth = DefaultMaxDepth
@@ -100,32 +102,32 @@ func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, e
 	// admission below sorts, so the whole frontier sequence is a pure
 	// function of the page graph.
 	var frontier []task
-	var capSkipped int64
+	var fr Frontier
 	for _, l := range landings {
 		if seen[l] {
 			continue
 		}
 		if c.Config.MaxURLs > 0 && len(seen) >= c.Config.MaxURLs {
-			capSkipped++
+			fr.Truncated++
 			continue
 		}
 		seen[l] = true
 		frontier = append(frontier, task{url: l, depth: 0, landing: l})
 	}
-	c.Metrics.RecordLevel(0, int64(len(frontier)), capSkipped)
 
 	// One result buffer serves every level: the crawl is GC-bound at
 	// scale, and a fresh slice per level is the single largest
 	// allocation the crawler would otherwise make.
 	var results []fetched
 	for len(frontier) > 0 && ctx.Err() == nil {
+		fr.AdmittedByDepth = append(fr.AdmittedByDepth, int64(len(frontier)))
 		if cap(results) < len(frontier) {
 			results = make([]fetched, len(frontier))
 		} else {
 			results = results[:len(frontier)]
 			clear(results)
 		}
-		pool.EachWith(ctx, len(frontier), c.Sched, func(i int) {
+		pool.Each(ctx, len(frontier), func(i int) {
 			results[i].entry, results[i].links = c.fetchOne(ctx, frontier[i], maxDepth)
 			results[i].ok = true
 		})
@@ -151,9 +153,11 @@ func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, e
 				next = append(next, task{url: link, depth: frontier[i].depth + 1, landing: frontier[i].landing})
 			}
 		}
-		frontier = c.admitLevel(seen, next)
+		var cut int64
+		frontier, cut = c.admitLevel(seen, next)
+		fr.Truncated += cut
 	}
-	return archive, ctx.Err()
+	return archive, fr, ctx.Err()
 }
 
 // admitLevel turns one level's candidate links — already deduplicated
@@ -162,12 +166,11 @@ func (c *Crawler) Crawl(ctx context.Context, landings []string) (*har.Archive, e
 // evicting anything past the cut from seen again. Running this
 // single-threaded between levels is what makes a capped crawl
 // seed-deterministic: the cap cuts a sorted list, not a worker race.
-func (c *Crawler) admitLevel(seen map[string]bool, next []task) []task {
+// It also reports how many candidates the cap evicted.
+func (c *Crawler) admitLevel(seen map[string]bool, next []task) ([]task, int64) {
 	if len(next) == 0 {
-		return next
+		return next, 0
 	}
-	// Level synchronisation means every candidate shares one depth.
-	depth := next[0].depth
 	candidates := int64(len(next))
 	slices.SortFunc(next, func(a, b task) int { return strings.Compare(a.url, b.url) })
 	if c.Config.MaxURLs > 0 {
@@ -182,8 +185,7 @@ func (c *Crawler) admitLevel(seen map[string]bool, next []task) []task {
 			next = next[:allowed]
 		}
 	}
-	c.Metrics.RecordLevel(depth, int64(len(next)), candidates-int64(len(next)))
-	return next
+	return next, candidates - int64(len(next))
 }
 
 // fetchOne retrieves a single URL and returns its archive entry plus

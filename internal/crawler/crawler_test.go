@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func (f *fakeSite) Fetch(ctx context.Context, url string) (*fetch.Response, erro
 func TestCrawlVisitsWholeTree(t *testing.T) {
 	site := &fakeSite{maxDepth: 3, fanout: 2}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 7, Concurrency: 4, Country: "XX"}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestCrawlVisitsWholeTree(t *testing.T) {
 func TestCrawlHonoursDepthLimit(t *testing.T) {
 	site := &fakeSite{maxDepth: 10, fanout: 1}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 3, Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCrawlHonoursDepthLimit(t *testing.T) {
 func TestCrawlDefaultDepthIsSeven(t *testing.T) {
 	site := &fakeSite{maxDepth: 12, fanout: 1}
 	c := &Crawler{Fetcher: site, Config: Config{Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestCrawlDeduplicatesURLs(t *testing.T) {
 	// All pages link to the same child.
 	site := &fakeSite{maxDepth: 2, fanout: 3}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 7, Concurrency: 4}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0", "https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0", "https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCrawlRecordsFailuresAndContinues(t *testing.T) {
 	site := &fakeSite{maxDepth: 2, fanout: 2,
 		fail: map[string]bool{"https://site.test/p1-0": true}}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 7, Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCrawlMaxURLsCapDeterministic(t *testing.T) {
 	crawlOnce := func() []string {
 		site := &fakeSite{maxDepth: 8, fanout: 3}
 		c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 8, Concurrency: 16, MaxURLs: 25}}
-		archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+		archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,6 +173,50 @@ func TestCrawlMaxURLsCapDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrawlFrontierAccounting: the Frontier counts the URLs admitted
+// at each depth and every candidate the cap evicted, landing seeds
+// included.
+func TestCrawlFrontierAccounting(t *testing.T) {
+	cases := []struct {
+		name      string
+		maxURLs   int
+		landings  []string
+		byDepth   []int64
+		truncated int64
+	}{
+		// 1 + 3 + 9 admitted; 12 of depth 3's 27 fit the cap, and all 36
+		// children of those 12 are evicted.
+		{"cap mid-level", 25, []string{"https://site.test/p0-0"}, []int64{1, 3, 9, 12}, 15 + 36},
+		// The second landing and all three children exceed a cap of 1.
+		{"cap at the landings", 1, []string{"https://site.test/p0-0", "https://site.test/p0-1"}, []int64{1}, 1 + 3},
+		{"uncapped", 0, []string{"https://site.test/p0-0"}, []int64{1, 3, 9}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			maxDepth := 8
+			if tc.maxURLs == 0 {
+				maxDepth = 2
+			}
+			site := &fakeSite{maxDepth: maxDepth, fanout: 3}
+			c := &Crawler{Fetcher: site, Config: Config{MaxDepth: maxDepth, Concurrency: 4, MaxURLs: tc.maxURLs}}
+			archive, fr, err := c.Crawl(context.Background(), tc.landings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(fr.AdmittedByDepth, tc.byDepth) || fr.Truncated != tc.truncated {
+				t.Errorf("frontier = %+v, want admitted %v truncated %d", fr, tc.byDepth, tc.truncated)
+			}
+			var admitted int64
+			for _, n := range fr.AdmittedByDepth {
+				admitted += n
+			}
+			if admitted != int64(len(archive.Entries)) {
+				t.Errorf("admitted %d URLs, archived %d", admitted, len(archive.Entries))
+			}
+		})
+	}
+}
+
 func TestCrawlSharedPool(t *testing.T) {
 	// Two crawls sharing one study-wide pool must behave exactly like
 	// crawls with private pools.
@@ -180,7 +225,7 @@ func TestCrawlSharedPool(t *testing.T) {
 	for _, landing := range []string{"https://site.test/p0-0", "https://site.test/p0-1"} {
 		site := &fakeSite{maxDepth: 3, fanout: 2}
 		c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 7, Country: "XX"}, Pool: pool}
-		archive, err := c.Crawl(context.Background(), []string{landing})
+		archive, _, err := c.Crawl(context.Background(), []string{landing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +261,7 @@ func TestCrawlFollowsUppercaseContentType(t *testing.T) {
 		return &fetch.Response{Status: 200, ContentType: "text/html", Body: nil}, nil
 	})
 	c := &Crawler{Fetcher: f, Config: Config{MaxDepth: 7, Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +273,7 @@ func TestCrawlFollowsUppercaseContentType(t *testing.T) {
 func TestCrawlMaxURLsCap(t *testing.T) {
 	site := &fakeSite{maxDepth: 8, fanout: 3}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 8, Concurrency: 4, MaxURLs: 20}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +288,7 @@ func TestCrawlCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Crawl(ctx, []string{"https://site.test/p0-0"})
+	_, _, err := c.Crawl(ctx, []string{"https://site.test/p0-0"})
 	if err == nil {
 		t.Fatal("cancelled crawl must report its context error")
 	}
@@ -254,7 +299,7 @@ func TestCrawlCancellation(t *testing.T) {
 
 func TestCrawlEmptyLandingList(t *testing.T) {
 	c := &Crawler{Fetcher: &fakeSite{}, Config: Config{}}
-	archive, err := c.Crawl(context.Background(), nil)
+	archive, _, err := c.Crawl(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +320,7 @@ func TestCrawlNonHTMLNotParsed(t *testing.T) {
 			Body: []byte(`<link rel="stylesheet" href="/style.css">`)}, nil
 	})
 	c := &Crawler{Fetcher: f, Config: Config{MaxDepth: 7, Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +338,7 @@ func (f fetchFunc) Fetch(ctx context.Context, url string) (*fetch.Response, erro
 func TestCrawlConcurrencyStress(t *testing.T) {
 	site := &fakeSite{maxDepth: 6, fanout: 3}
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 6, Concurrency: 32}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +361,7 @@ func TestCrawlPartialArchiveOnCancellation(t *testing.T) {
 	c := &Crawler{Fetcher: site, Config: Config{MaxDepth: 10, Concurrency: 4}}
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	archive, err := c.Crawl(ctx, []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(ctx, []string{"https://site.test/p0-0"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the context error", err)
 	}
@@ -347,7 +392,7 @@ func TestCrawlTagsEntriesWithFailureKind(t *testing.T) {
 	site := &fakeSite{maxDepth: 3, fanout: 2}
 	trunc := &truncatingFetcher{inner: site, url: "https://site.test/p1-0"}
 	c := &Crawler{Fetcher: trunc, Config: Config{MaxDepth: 7, Concurrency: 2}}
-	archive, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
+	archive, _, err := c.Crawl(context.Background(), []string{"https://site.test/p0-0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Resolver struct {
 	NegativeTTL time.Duration
 	// FaultHook, when set, is consulted before each exchange attempt
 	// and its non-nil error stands in for the exchange (chaos runs
-	// inject SERVFAIL here via faults.Plan.ResolverHook). Errors from
+	// inject SERVFAIL here via faults.Plan.DNSFault). Errors from
 	// the hook count against the same retry allowance as real
 	// failures, so an injected fault on attempt 0 can still resolve on
 	// attempt 1.

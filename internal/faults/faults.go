@@ -265,11 +265,6 @@ func (p *Plan) DNSFault(host string, attempt int) error {
 	return nil
 }
 
-// ResolverHook adapts DNSFault to the dnswire.Resolver fault hook.
-func (p *Plan) ResolverHook() func(name string, attempt int) error {
-	return p.DNSFault
-}
-
 // EgressFlap reports whether the VPN egress connected for country on
 // the given connection attempt flaps during location validation.
 func (p *Plan) EgressFlap(country string, attempt int) bool {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -184,6 +185,29 @@ func TestFetcherInjectsTimeout(t *testing.T) {
 	}
 	if in.calls != 0 {
 		t.Errorf("inner fetcher reached %d times through a timeout", in.calls)
+	}
+}
+
+// TestFetcherInjectionsConcurrent: the injection tally counts every
+// injected fault once when many goroutines share one Fetcher.
+func TestFetcherInjectionsConcurrent(t *testing.T) {
+	f := &Fetcher{Inner: &innerFetcher{}, Plan: NewPlan(1, Profile{Timeout: 1})}
+	if got := f.Injections(); got != nil {
+		t.Fatalf("fresh fetcher tallies %v", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				f.FetchAttempt(context.Background(), fmt.Sprintf("https://h%d.gov/", g), i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := f.Injections(); len(got) != 1 || got[string(KindTimeout)] != 80 {
+		t.Errorf("injections = %v, want 80 timeouts", got)
 	}
 }
 

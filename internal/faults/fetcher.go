@@ -2,24 +2,34 @@ package faults
 
 import (
 	"context"
+	"maps"
+	"sync"
 	"time"
 
 	"repro/internal/fetch"
-	"repro/internal/metrics"
 )
 
 // Fetcher injects the plan's faults in front of any fetch.Fetcher. It
 // is attempt-aware: the Retrier passes the retry attempt through
 // FetchAttempt, and since fault decisions hash the attempt number, a
 // host that timed out on attempt 0 may answer on attempt 1 — with the
-// same seed always healing (or not) at the same attempt.
+// same seed always healing (or not) at the same attempt. It tallies
+// its injections by kind; decisions hash (fault seed, host, attempt)
+// and attempt sequences are deterministic, so the tally is too.
 type Fetcher struct {
 	Inner fetch.Fetcher
 	Plan  *Plan
-	// Metrics, when non-nil, receives the injection ledger. Decisions
-	// hash (fault seed, host, attempt) and attempt sequences are
-	// deterministic, so the ledger is golden-comparable.
-	Metrics *metrics.FaultMetrics
+
+	mu       sync.Mutex
+	injected map[string]int64
+}
+
+// Injections returns the faults injected so far by kind; nil when
+// none were.
+func (f *Fetcher) Injections() map[string]int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return maps.Clone(f.injected)
 }
 
 // Fetch implements fetch.Fetcher as attempt 0.
@@ -32,7 +42,12 @@ func (f *Fetcher) FetchAttempt(ctx context.Context, url string, attempt int) (*f
 	host := hostOf(url)
 	ft := f.Plan.FetchFault(host, attempt)
 	if ft.Kind != KindNone {
-		f.Metrics.Inject(string(ft.Kind))
+		f.mu.Lock()
+		if f.injected == nil {
+			f.injected = map[string]int64{}
+		}
+		f.injected[string(ft.Kind)]++
+		f.mu.Unlock()
 	}
 	switch ft.Kind {
 	case KindTimeout:

@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/fnv"
+	"maps"
+	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // RetryBudget caps how many extra attempts a whole study may spend;
@@ -64,11 +64,16 @@ func (p RetryPolicy) maxDelay() time.Duration {
 	return p.MaxDelay
 }
 
-// RetryStats is a snapshot of a Retrier's counters.
+// RetryStats is a snapshot of a Retrier's counters. Attempt and retry
+// counts are deterministic, because retry decisions hash (seed, url,
+// attempt); budget denials are not.
 type RetryStats struct {
 	Attempts     uint64 // individual fetch attempts issued
 	Retries      uint64 // attempts beyond each URL's first
 	BudgetDenied uint64 // retries skipped because the study budget ran dry
+	// RetriesByKind splits Retries by the failure kind that triggered
+	// them; nil when nothing retried.
+	RetriesByKind map[string]int64
 }
 
 // Retrier wraps a Fetcher with classification-driven retries: terminal
@@ -86,12 +91,11 @@ type Retrier struct {
 	// work. Exhaustion downgrades failures to terminal, it never
 	// aborts.
 	Budget RetryBudget
-	// Metrics, when non-nil, receives the study-wide attempt/retry
-	// ledger on top of the per-Retrier counters below. Attempt and
-	// retry counts are deterministic; budget denials are not.
-	Metrics *metrics.FetchMetrics
 
 	attempts, retries, denied atomic.Uint64
+
+	mu     sync.Mutex
+	byKind map[string]int64
 }
 
 // Fetch implements Fetcher.
@@ -113,10 +117,9 @@ func (r *Retrier) Fetch(ctx context.Context, url string) (*Response, error) {
 		}
 		cancel()
 		r.attempts.Add(1)
-		r.Metrics.RecordAttempt()
 
 		// The failure kind both drives the retry decision and labels
-		// the retry in the study ledger.
+		// the retry in the per-kind tally.
 		var retryable bool
 		var kind FailKind
 		if err != nil {
@@ -135,11 +138,15 @@ func (r *Retrier) Fetch(ctx context.Context, url string) (*Response, error) {
 		}
 		if r.Budget != nil && !r.Budget.Acquire() {
 			r.denied.Add(1)
-			r.Metrics.RecordBudgetDenied()
 			return resp, err
 		}
 		r.retries.Add(1)
-		r.Metrics.RecordRetry(string(kind))
+		r.mu.Lock()
+		if r.byKind == nil {
+			r.byKind = map[string]int64{}
+		}
+		r.byKind[string(kind)]++
+		r.mu.Unlock()
 		if !sleepCtx(ctx, r.backoff(url, attempt)) {
 			return resp, err
 		}
@@ -186,9 +193,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // Stats snapshots the counters.
 func (r *Retrier) Stats() RetryStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return RetryStats{
-		Attempts:     r.attempts.Load(),
-		Retries:      r.retries.Load(),
-		BudgetDenied: r.denied.Load(),
+		Attempts:      r.attempts.Load(),
+		Retries:       r.retries.Load(),
+		BudgetDenied:  r.denied.Load(),
+		RetriesByKind: maps.Clone(r.byKind),
 	}
 }

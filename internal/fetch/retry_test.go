@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -67,6 +68,39 @@ func TestRetrierFlakyThenSuccess(t *testing.T) {
 	st := r.Stats()
 	if st.Attempts != 3 || st.Retries != 2 || st.BudgetDenied != 0 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestRetrierRetriesByKindConcurrent: the per-kind retry tally sums to
+// Retries when many goroutines share one Retrier.
+func TestRetrierRetriesByKindConcurrent(t *testing.T) {
+	const n = 16
+	f := newScriptFetcher()
+	for i := 0; i < n; i++ {
+		f.add(fmt.Sprintf("t%d", i), outcome{err: timeoutErr{}}, outcome{err: timeoutErr{}}, outcome{resp: &Response{Status: 200}})
+		f.add(fmt.Sprintf("f%d", i), outcome{resp: &Response{Status: 502}}, outcome{resp: &Response{Status: 200}})
+	}
+	r := &Retrier{Inner: f, Policy: RetryPolicy{BaseDelay: time.Microsecond}}
+	if got := r.Stats().RetriesByKind; got != nil {
+		t.Fatalf("fresh retrier tallies %v", got)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		for _, u := range []string{fmt.Sprintf("t%d", i), fmt.Sprintf("f%d", i)} {
+			wg.Add(1)
+			go func(u string) {
+				defer wg.Done()
+				if _, err := r.Fetch(context.Background(), u); err != nil {
+					t.Error(err)
+				}
+			}(u)
+		}
+	}
+	wg.Wait()
+	st := r.Stats()
+	want := map[string]int64{string(FailTimeout): 2 * n, string(Fail5xx): n}
+	if st.Retries != 3*n || !reflect.DeepEqual(st.RetriesByKind, want) {
+		t.Errorf("retries %d by kind %v, want %d by kind %v", st.Retries, st.RetriesByKind, 3*n, want)
 	}
 }
 

@@ -45,9 +45,6 @@ func New() *Archive {
 // Add appends an entry.
 func (a *Archive) Add(e Entry) { a.Entries = append(a.Entries, e) }
 
-// Merge appends every entry of b.
-func (a *Archive) Merge(b *Archive) { a.Entries = append(a.Entries, b.Entries...) }
-
 // Hosts returns the sorted set of distinct hostnames in the archive.
 func (a *Archive) Hosts() []string {
 	set := make(map[string]bool)

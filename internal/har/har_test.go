@@ -54,14 +54,6 @@ func TestTotalBytes(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := sample(), sample()
-	a.Merge(b)
-	if len(a.Entries) != 6 {
-		t.Fatalf("merged entries = %d, want 6", len(a.Entries))
-	}
-}
-
 func TestHostOf(t *testing.T) {
 	cases := map[string]string{
 		"https://www.gub.uy/path?q=1": "www.gub.uy",

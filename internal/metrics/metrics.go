@@ -1,26 +1,27 @@
 // Package metrics is the pipeline's per-stage instrumentation: a
 // low-overhead registry of atomic counters, gauges with high-water
 // marks, and duration histograms, threaded through the scheduler, the
-// resolution cache, the fetch/retry stack, the fault injector, and the
-// crawler. Large-scale crawl-measurement systems (Akiwate et al.'s DNS
-// dependency studies, Habib et al.'s longitudinal hosting census)
-// treat per-stage accounting as the precondition for scaling
-// collection; this package is that seam for the sharding and
-// streaming-assembly work the ROADMAP names.
+// single-flight caches, the merge sink, the shard supervisor and the
+// serving daemon. Large-scale crawl-measurement systems (Akiwate et
+// al.'s DNS dependency studies, Habib et al.'s longitudinal hosting
+// census) treat per-stage accounting as the precondition for scaling
+// collection; this package is that seam.
 //
-// The registry draws one hard line, enforced by a reflection test:
+// The snapshot draws one hard line, enforced by a reflection test:
 //
-//   - Deterministic counters — task counts, cache hits/misses,
+//   - The Deterministic half — task counts, cache hits/misses,
 //     retries, fault injections, failure kinds, frontier admissions —
-//     are pure functions of (seed, fault seed, profile). Equal seeds
-//     must produce byte-identical deterministic snapshots at any
-//     CountryConcurrency/FetchConcurrency shape, so they are safe for
-//     golden comparisons and chaos replay checks.
+//     is a pure function of (seed, fault seed, profile). Nothing
+//     records it live: the pipeline computes it once from the
+//     assembled study and stores it with SetDeterministic, so equal
+//     seeds give byte-identical halves at any concurrency shape, and
+//     across fresh, resumed and sharded runs alike.
 //
 //   - Runtime observations — wall-clock durations, queue-depth and
-//     occupancy high-water marks, single-flight coalesce counts —
-//     depend on worker interleaving and the host machine. They are
-//     reported for operators but excluded from golden comparisons.
+//     occupancy high-water marks, single-flight coalesce counts,
+//     retry-budget denials — depend on worker interleaving and the
+//     host machine. The registry records them live; they are reported
+//     for operators but excluded from golden comparisons.
 //
 // Every recording method is safe for concurrent use, and the
 // sub-registry helper methods tolerate a nil receiver so call sites in
@@ -189,24 +190,21 @@ func (v *Vec) snapshot() map[string]int64 {
 	return out
 }
 
-// maxDepthTrack bounds the per-depth URL counters; crawls run at the
-// paper's depth 7, so 16 slots leave headroom for depth overrides.
-const maxDepthTrack = 16
-
 // Registry is the study-wide metrics root. One registry serves a whole
-// run: every Pool, Retrier, fault injector, crawler and cache the run
-// assembles records into the same sub-structs, so the snapshot is the
+// run: every pool, cache and server the run builds records its runtime
+// observations into the same sub-structs, and the run stores its
+// deterministic ledger once, after assembly — so the snapshot is the
 // study's ledger, not one component's.
 type Registry struct {
 	Sched    SchedMetrics
 	Cache    CacheMetrics
 	Geo      GeoMetrics
 	Fetch    FetchMetrics
-	Faults   FaultMetrics
-	Crawl    CrawlMetrics
 	Pipeline PipelineMetrics
 	Shard    ShardMetrics
 	Serve    ServeMetrics
+
+	ledger atomic.Pointer[Deterministic]
 }
 
 // New builds an empty registry.
@@ -214,168 +212,44 @@ func New() *Registry {
 	return &Registry{}
 }
 
-// SchedMetrics instruments sched.Pool. Item counts are deterministic
-// (every index of every EachWith batch runs exactly once in a completed
-// run); task submissions, queue pressure and occupancy depend on which
-// workers were free and belong to the runtime side.
-type SchedMetrics struct {
-	// Deterministic.
-	ItemsScheduled Counter // indexes handed to EachWith across all batches
-	ItemsRun       Counter // indexes actually executed
+// SetDeterministic stores the finished deterministic ledger, which
+// every later Snapshot reports. The ledger must not be modified after
+// the call.
+func (r *Registry) SetDeterministic(d Deterministic) { r.ledger.Store(&d) }
 
-	// Runtime (scheduling-shape dependent).
+// SchedMetrics instruments sched.Pool: task submissions, queue
+// pressure and occupancy depend on which workers were free, so all of
+// it is runtime.
+type SchedMetrics struct {
 	TasksSubmitted Counter   // closures enqueued on the worker channel
 	QueueDepth     Gauge     // queued-but-unstarted tasks, with high-water
 	WorkersBusy    Gauge     // workers executing a task, with high-water
 	QueueWait      Histogram // enqueue-to-start latency
 }
 
-// CacheMetrics instruments the resolution cache. Lookups, hits and
-// misses are deterministic: the set of hostnames resolved and the
-// number of lookups per hostname are pure functions of the seed, even
-// though which worker performs the miss is not. The pipeline derives
-// them once from the assembled dataset and adds them through
-// AddDeterministic; the cache itself records only Coalesced, the
-// non-creating lookups that arrived while the resolution was still in
-// flight — a pure interleaving artifact, so it lives on the runtime
-// side (every coalesce is also counted as a hit).
+// CacheMetrics instruments a single-flight cache: Coalesced counts the
+// non-creating lookups that arrived while the entry was still being
+// computed — a pure interleaving artifact (every coalesce is also a
+// hit in the deterministic ledger, which the pipeline derives from the
+// assembled dataset).
 type CacheMetrics struct {
-	// Deterministic.
-	Lookups         Counter // resolve calls
-	Hits            Counter // lookups that found an existing entry
-	Misses          Counter // lookups that created the entry
-	NegativeEntries Counter // distinct hostnames whose resolution failed
-	NegativeHits    Counter // hits that returned a cached failure
-
-	// Runtime.
-	Coalesced Counter // hits that waited on an in-flight resolution
+	Coalesced Counter // hits that waited on an in-flight computation
 }
 
 // GeoMetrics instruments the two geolocation verdict caches of the
-// probing package. Each half follows the CacheMetrics split: the
-// address multiset geolocated during a run is a pure function of the
-// seed, so lookups, hits, misses and the negative (UR/EX verdict)
-// counts are deterministic; coalesce counts are interleaving
-// artifacts. Unicast keys on the address alone (verdicts are
+// probing package. Unicast keys on the address alone (verdicts are
 // vantage-independent); anycast verification keys on (vantage, addr).
 type GeoMetrics struct {
 	Unicast CacheMetrics
 	Anycast CacheMetrics
 }
 
-// FetchMetrics instruments the retrying fetch stack. Attempt and retry
-// counts are deterministic because retry decisions hash (seed, url,
-// attempt); budget denials only occur when a binding retry budget
-// races workers for the last tokens, which is exactly the documented
-// determinism trade-off — so they are runtime.
+// FetchMetrics instruments the retrying fetch stack. Budget denials
+// only occur when a binding retry budget races workers for the last
+// tokens, which is exactly the documented determinism trade-off — so
+// they are runtime.
 type FetchMetrics struct {
-	// Deterministic.
-	Attempts      Counter // individual fetch attempts issued
-	Retries       Counter // attempts beyond each URL's first
-	RetriesByKind Vec     // retries keyed by the failure kind that triggered them
-
-	// Runtime.
 	BudgetDenied Counter // retries skipped because the study budget ran dry
-}
-
-// RecordAttempt counts one fetch attempt. Nil-safe.
-func (m *FetchMetrics) RecordAttempt() {
-	if m != nil {
-		m.Attempts.Inc()
-	}
-}
-
-// RecordRetry counts one retry triggered by the given failure kind.
-// Nil-safe.
-func (m *FetchMetrics) RecordRetry(kind string) {
-	if m != nil {
-		m.Retries.Inc()
-		m.RetriesByKind.Add(kind, 1)
-	}
-}
-
-// RecordBudgetDenied counts one retry denied by the study budget.
-// Nil-safe.
-func (m *FetchMetrics) RecordBudgetDenied() {
-	if m != nil {
-		m.BudgetDenied.Inc()
-	}
-}
-
-// FaultMetrics counts injected faults by kind. Injection decisions
-// hash (fault seed, subject, attempt) and attempt sequences are
-// themselves deterministic, so the whole ledger is golden-comparable.
-type FaultMetrics struct {
-	Injections Vec // injected faults by kind (timeout, reset, 5xx, …)
-}
-
-// Inject counts one injected fault of the given kind. Nil-safe.
-func (m *FaultMetrics) Inject(kind string) {
-	if m != nil {
-		m.Injections.Add(kind, 1)
-	}
-}
-
-// CrawlMetrics instruments frontier admission. Admission is the
-// deterministic heart of the crawler — each level is deduplicated,
-// sorted and capped before any fetch — so everything here is
-// deterministic.
-type CrawlMetrics struct {
-	FrontierAdmitted  Counter // URLs admitted across all levels and crawls
-	FrontierTruncated Counter // candidate URLs evicted by the MaxURLs cap
-
-	depths [maxDepthTrack]Counter // admitted URLs per depth level
-}
-
-// RecordLevel counts one admitted frontier level at the given depth,
-// plus the candidates the MaxURLs cap evicted from it. Nil-safe.
-func (m *CrawlMetrics) RecordLevel(depth int, admitted, truncated int64) {
-	if m == nil {
-		return
-	}
-	m.FrontierAdmitted.Add(admitted)
-	m.FrontierTruncated.Add(truncated)
-	if admitted <= 0 {
-		return
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	if depth >= maxDepthTrack {
-		depth = maxDepthTrack - 1
-	}
-	m.depths[depth].Add(admitted)
-}
-
-// addURLsByDepth folds a snapshot's per-depth admission counts back
-// into the live counters — the inverse of urlsByDepth, used when a
-// checkpointed country's deterministic contribution is replayed.
-func (m *CrawlMetrics) addURLsByDepth(urls []int64) {
-	for depth, n := range urls {
-		if depth >= maxDepthTrack {
-			depth = maxDepthTrack - 1
-		}
-		m.depths[depth].Add(n)
-	}
-}
-
-// urlsByDepth trims the per-depth counters to the deepest nonzero
-// level.
-func (m *CrawlMetrics) urlsByDepth() []int64 {
-	last := -1
-	for i := range m.depths {
-		if m.depths[i].Load() > 0 {
-			last = i
-		}
-	}
-	if last < 0 {
-		return nil
-	}
-	out := make([]int64, last+1)
-	for i := range out {
-		out[i] = m.depths[i].Load()
-	}
-	return out
 }
 
 // ShardMetrics instruments the shard supervisor and the checkpoint
@@ -517,8 +391,8 @@ func (m *ServeMetrics) latencySnapshots() map[string]HistogramSnapshot {
 //
 //	Attempted == Records + Failures + Discarded + Unusable
 //
-// — every crawled URL lands in exactly one bucket, which is what the
-// invariant suite asserts from the snapshot.
+// — every crawled URL lands in exactly one bucket. The ledger derives
+// Unusable from it; the other fields are counted.
 type CountryCounters struct {
 	Attempted       int64 // URLs fetched during the crawl
 	Records         int64 // annotated records produced
@@ -540,29 +414,19 @@ type CountryTimings struct {
 	Annotate time.Duration
 }
 
-// PipelineMetrics instruments Env.Run: study-level deterministic
-// totals, one deterministic counter row per country, and the
-// wall-clock per-stage and per-country timings.
+// PipelineMetrics instruments Env.Run: the wall-clock per-stage and
+// per-country timings, and the merge sink's occupancy.
 type PipelineMetrics struct {
-	// Deterministic.
-	Annotations     Counter // annotate calls (gov + topsites)
-	Records         Counter // government records produced
-	Failures        Counter // failure-taxonomy total across countries
-	FailuresByKind  Vec     // failures keyed by taxonomy bucket
-	CountriesRun    Counter // countries the pipeline processed
-	CountriesFailed Counter // countries with no validated vantage
-
-	// Runtime: records buffered in the merge sink waiting for an
+	// InFlight is the records buffered in the merge sink waiting for an
 	// earlier country to finish. Which countries park depends on worker
 	// interleaving, so the high-water mark is a runtime observation —
 	// but its bound (strictly below the study's total record count) is
 	// the streaming-assembly guarantee.
 	InFlight Gauge
 
-	mu        sync.Mutex
-	countries map[string]CountryCounters
-	timings   map[string]CountryTimings
-	stages    map[string]*Histogram
+	mu      sync.Mutex
+	timings map[string]CountryTimings
+	stages  map[string]*Histogram
 }
 
 // RecordsInFlight moves the records-in-flight level by delta: positive
@@ -572,37 +436,6 @@ func (m *PipelineMetrics) RecordsInFlight(delta int64) {
 	if m != nil {
 		m.InFlight.Add(delta)
 	}
-}
-
-// RecordAnnotation counts one annotate call. Nil-safe.
-func (m *PipelineMetrics) RecordAnnotation() {
-	if m != nil {
-		m.Annotations.Inc()
-	}
-}
-
-// RecordCountry stores one country's deterministic counter row and
-// rolls it into the study totals. Nil-safe.
-func (m *PipelineMetrics) RecordCountry(code string, c CountryCounters, failed bool, failures map[string]int) {
-	if m == nil {
-		return
-	}
-	m.CountriesRun.Inc()
-	if failed {
-		m.CountriesFailed.Inc()
-	}
-	m.Records.Add(c.Records)
-	m.Failures.Add(c.Failures)
-	//lint:ignore map-order -- Vec.Add is a keyed atomic increment; per-kind adds commute, and the snapshot renders kinds sorted
-	for kind, n := range failures {
-		m.FailuresByKind.Add(kind, int64(n))
-	}
-	m.mu.Lock()
-	if m.countries == nil {
-		m.countries = make(map[string]CountryCounters)
-	}
-	m.countries[code] = c
-	m.mu.Unlock()
 }
 
 // RecordCountryTimings stores one country's wall-clock stage
@@ -637,81 +470,6 @@ func (m *PipelineMetrics) ObserveStage(stage string, d time.Duration) {
 	}
 	m.mu.Unlock()
 	h.Observe(d)
-}
-
-// AddDeterministic folds a frozen deterministic snapshot into the live
-// registry. This is how checkpointed work re-enters the ledger: a
-// resumed run loads each stored country's contribution and adds it
-// here instead of re-measuring, and a streaming run absorbs each
-// country's fork registry at flush time. Counter adds commute, so the
-// result is independent of the order contributions arrive — the
-// property the byte-identical-resume contract leans on. Nil-safe.
-func (r *Registry) AddDeterministic(d Deterministic) {
-	if r == nil {
-		return
-	}
-	r.Sched.ItemsScheduled.Add(d.Sched.ItemsScheduled)
-	r.Sched.ItemsRun.Add(d.Sched.ItemsRun)
-
-	addCache := func(m *CacheMetrics, c CacheCounters) {
-		m.Lookups.Add(c.Lookups)
-		m.Hits.Add(c.Hits)
-		m.Misses.Add(c.Misses)
-		m.NegativeEntries.Add(c.NegativeEntries)
-		m.NegativeHits.Add(c.NegativeHits)
-	}
-	addCache(&r.Cache, d.Cache)
-	addCache(&r.Geo.Unicast, d.Geo.Unicast)
-	addCache(&r.Geo.Anycast, d.Geo.Anycast)
-
-	r.Fetch.Attempts.Add(d.Fetch.Attempts)
-	r.Fetch.Retries.Add(d.Fetch.Retries)
-	//lint:ignore map-order -- Vec.Add is a keyed atomic increment; per-kind adds commute, and the snapshot renders kinds sorted
-	for kind, n := range d.Fetch.RetriesByKind {
-		r.Fetch.RetriesByKind.Add(kind, n)
-	}
-	//lint:ignore map-order -- Vec.Add is a keyed atomic increment; per-kind adds commute, and the snapshot renders kinds sorted
-	for kind, n := range d.Faults.Injections {
-		r.Faults.Injections.Add(kind, n)
-	}
-
-	r.Crawl.FrontierAdmitted.Add(d.Crawl.FrontierAdmitted)
-	r.Crawl.FrontierTruncated.Add(d.Crawl.FrontierTruncated)
-	r.Crawl.addURLsByDepth(d.Crawl.URLsByDepth)
-
-	p := &r.Pipeline
-	p.Annotations.Add(d.Pipeline.Annotations)
-	p.Records.Add(d.Pipeline.Records)
-	p.Failures.Add(d.Pipeline.Failures)
-	//lint:ignore map-order -- Vec.Add is a keyed atomic increment; per-kind adds commute, and the snapshot renders kinds sorted
-	for kind, n := range d.Pipeline.FailuresByKind {
-		p.FailuresByKind.Add(kind, n)
-	}
-	p.CountriesRun.Add(d.Pipeline.CountriesRun)
-	p.CountriesFailed.Add(d.Pipeline.CountriesFailed)
-	if len(d.Pipeline.Countries) > 0 {
-		p.mu.Lock()
-		if p.countries == nil {
-			p.countries = make(map[string]CountryCounters)
-		}
-		for code, c := range d.Pipeline.Countries {
-			p.countries[code] = c
-		}
-		p.mu.Unlock()
-	}
-}
-
-func (m *PipelineMetrics) countrySnapshots() map[string]CountryCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.countries) == 0 {
-		return nil
-	}
-	out := make(map[string]CountryCounters, len(m.countries))
-	for k, v := range m.countries {
-		out[k] = v
-	}
-	return out
 }
 
 func (m *PipelineMetrics) timingSnapshots() map[string]CountryTimings {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -126,77 +127,60 @@ func TestVec(t *testing.T) {
 	}
 }
 
-func TestCrawlMetricsDepthTracking(t *testing.T) {
-	var m CrawlMetrics
-	m.RecordLevel(0, 10, 0)
-	m.RecordLevel(2, 5, 3)
-	if got := m.FrontierAdmitted.Load(); got != 15 {
-		t.Errorf("FrontierAdmitted = %d, want 15", got)
+// TestAddCrawl: folding crawl tallies sums every counter, grows the
+// per-depth table to the deepest level any crawl reached, and counts
+// each admitted URL as one scheduler item and one first attempt plus
+// one attempt per retry.
+func TestAddCrawl(t *testing.T) {
+	var d Deterministic
+	d.AddCrawl(CrawlTally{URLsByDepth: []int64{10}, FrontierTruncated: 3})
+	d.AddCrawl(CrawlTally{
+		URLsByDepth:   []int64{2, 0, 5},
+		RetriesByKind: map[string]int64{"timeout": 2, "reset": 1},
+		Injections:    map[string]int64{"timeout": 2, "slow": 4},
+	})
+	d.AddCrawl(CrawlTally{})
+	want := Deterministic{
+		Sched:  SchedCounters{ItemsScheduled: 17, ItemsRun: 17},
+		Fetch:  FetchCounters{Attempts: 20, Retries: 3, RetriesByKind: map[string]int64{"timeout": 2, "reset": 1}},
+		Faults: FaultCounters{Injections: map[string]int64{"timeout": 2, "slow": 4}},
+		Crawl:  CrawlCounters{FrontierAdmitted: 17, FrontierTruncated: 3, URLsByDepth: []int64{12, 0, 5}},
 	}
-	if got := m.FrontierTruncated.Load(); got != 3 {
-		t.Errorf("FrontierTruncated = %d, want 3", got)
-	}
-	want := []int64{10, 0, 5}
-	got := m.urlsByDepth()
-	if len(got) != len(want) {
-		t.Fatalf("urlsByDepth = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("urlsByDepth = %v, want %v", got, want)
-		}
-	}
-	// Out-of-range depths clamp instead of panicking, and an empty
-	// level leaves the depth table untouched.
-	m.RecordLevel(-4, 1, 0)
-	m.RecordLevel(maxDepthTrack+10, 1, 0)
-	m.RecordLevel(5, 0, 2)
-	byDepth := m.urlsByDepth()
-	if byDepth[0] != 11 || byDepth[maxDepthTrack-1] != 1 {
-		t.Errorf("clamped depths not recorded: %v", byDepth)
+	if !reflect.DeepEqual(d, want) {
+		t.Errorf("AddCrawl =\n%+v\nwant\n%+v", d, want)
 	}
 }
 
 // TestNilSafeRecorders: every hot-path recording helper must tolerate a
 // nil receiver, so disabled-metrics runs pay only a nil check.
 func TestNilSafeRecorders(t *testing.T) {
-	(*FetchMetrics)(nil).RecordAttempt()
-	(*FetchMetrics)(nil).RecordRetry("timeout")
-	(*FetchMetrics)(nil).RecordBudgetDenied()
-	(*FaultMetrics)(nil).Inject("reset")
-	(*CrawlMetrics)(nil).RecordLevel(1, 10, 2)
-	(*PipelineMetrics)(nil).RecordAnnotation()
-	(*PipelineMetrics)(nil).RecordCountry("US", CountryCounters{}, false, nil)
 	(*PipelineMetrics)(nil).RecordCountryTimings("US", CountryTimings{})
 	(*PipelineMetrics)(nil).ObserveStage("crawl", time.Millisecond)
 }
 
-func TestPipelineRecordCountryRollup(t *testing.T) {
-	var m PipelineMetrics
-	m.RecordCountry("US", CountryCounters{
-		Attempted: 100, Records: 80, Failures: 15, Discarded: 3, Unusable: 2,
-	}, false, map[string]int{"timeout": 10, "dns": 5})
-	m.RecordCountry("NG", CountryCounters{VantageAttempts: 3}, true, nil)
+// TestRecordsInFlightGauge covers the streaming memory bound's
+// instrument: the gauge tracks parked record counts and its high-water
+// mark survives into the runtime snapshot.
+func TestRecordsInFlightGauge(t *testing.T) {
+	r := New()
+	r.Pipeline.RecordsInFlight(5)
+	r.Pipeline.RecordsInFlight(3)
+	r.Pipeline.RecordsInFlight(-5)
+	r.Pipeline.RecordsInFlight(4)
+	r.Pipeline.RecordsInFlight(-7)
 
-	if got := m.CountriesRun.Load(); got != 2 {
-		t.Errorf("CountriesRun = %d, want 2", got)
+	if got := r.Pipeline.InFlight.Value(); got != 0 {
+		t.Fatalf("gauge value = %d, want 0 after all flushes", got)
 	}
-	if got := m.CountriesFailed.Load(); got != 1 {
-		t.Errorf("CountriesFailed = %d, want 1", got)
+	snap := r.Snapshot()
+	if got := snap.Runtime.Pipeline.RecordsInFlightHighWater; got != 8 {
+		t.Fatalf("high water = %d, want 8", got)
 	}
-	if got := m.Records.Load(); got != 80 {
-		t.Errorf("Records = %d, want 80", got)
-	}
-	if got := m.Failures.Load(); got != 15 {
-		t.Errorf("Failures = %d, want 15", got)
-	}
-	if got := m.FailuresByKind.Load("timeout"); got != 10 {
-		t.Errorf("FailuresByKind[timeout] = %d, want 10", got)
-	}
-	rows := m.countrySnapshots()
-	if len(rows) != 2 || rows["US"].Attempted != 100 || rows["NG"].VantageAttempts != 3 {
-		t.Errorf("country rows = %+v", rows)
-	}
+
+	// Nil-safe like every other recording method: a disabled registry
+	// must not panic the sink.
+	var pm *PipelineMetrics
+	pm.RecordsInFlight(3)
 }
 
 func TestObserveStage(t *testing.T) {
@@ -213,31 +197,28 @@ func TestObserveStage(t *testing.T) {
 	}
 }
 
-// TestDeterministicJSONStable: two registries fed the same counts — in
-// different orders and with different wall-clock observations — must
-// render byte-identical deterministic halves, while the full JSON may
-// differ. This is the property the chaos suite leans on.
+// TestDeterministicJSONStable: two registries given the same ledger —
+// folded from the same crawls in different orders — and different
+// wall-clock observations must render byte-identical deterministic
+// halves, while the full JSON may differ. This is the property the
+// chaos suite leans on.
 func TestDeterministicJSONStable(t *testing.T) {
+	crawls := []CrawlTally{
+		{URLsByDepth: []int64{3, 4}, RetriesByKind: map[string]int64{"timeout": 1, "reset": 2}},
+		{URLsByDepth: []int64{1}, Injections: map[string]int64{"5xx": 1, "timeout": 1}},
+		{FrontierTruncated: 2, RetriesByKind: map[string]int64{"5xx": 1}},
+	}
 	feed := func(r *Registry, reverse bool, wait time.Duration) {
-		kinds := []string{"timeout", "reset", "5xx"}
-		if reverse {
-			for i, j := 0, len(kinds)-1; i < j; i, j = i+1, j-1 {
-				kinds[i], kinds[j] = kinds[j], kinds[i]
+		var d Deterministic
+		for i := range crawls {
+			if reverse {
+				i = len(crawls) - 1 - i
 			}
+			d.AddCrawl(crawls[i])
 		}
-		for _, k := range kinds {
-			r.Fetch.RecordRetry(k)
-			r.Faults.Inject(k)
-		}
-		r.Sched.ItemsScheduled.Add(10)
-		r.Sched.ItemsRun.Add(10)
+		d.Pipeline.Countries = map[string]CountryCounters{"UY": {Attempted: 7, Records: 7}}
+		r.SetDeterministic(d)
 		r.Sched.QueueWait.Observe(wait)
-		r.Cache.Lookups.Add(5)
-		r.Cache.Hits.Add(3)
-		r.Cache.Misses.Add(2)
-		r.Crawl.RecordLevel(1, 7, 1)
-		r.Pipeline.RecordAnnotation()
-		r.Pipeline.RecordCountry("UY", CountryCounters{Attempted: 7, Records: 7}, false, nil)
 		r.Pipeline.RecordCountryTimings("UY", CountryTimings{Crawl: wait})
 		r.Pipeline.ObserveStage("crawl", wait)
 	}
@@ -271,8 +252,10 @@ func TestDeterministicJSONStable(t *testing.T) {
 
 func TestSnapshotText(t *testing.T) {
 	r := New()
-	r.Fetch.RecordAttempt()
-	r.Pipeline.RecordCountry("US", CountryCounters{Attempted: 3, Records: 3}, false, nil)
+	r.SetDeterministic(Deterministic{
+		Fetch:    FetchCounters{Attempts: 1},
+		Pipeline: PipelineCounters{Countries: map[string]CountryCounters{"US": {Attempted: 3, Records: 3}}},
+	})
 	r.Pipeline.RecordCountryTimings("US", CountryTimings{Vantage: time.Millisecond})
 	r.Pipeline.ObserveStage("study", 10*time.Millisecond)
 	text := r.Snapshot().Text()

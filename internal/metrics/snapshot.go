@@ -84,6 +84,54 @@ type PipelineCounters struct {
 	Countries       map[string]CountryCounters `json:"countries,omitempty"`
 }
 
+// CrawlTally is the part of one crawl's deterministic accounting that
+// neither its country's stats row nor its records determine. A
+// checkpoint stores it with each country, so the ledger can be
+// computed without re-running the crawl.
+type CrawlTally struct {
+	RetriesByKind     map[string]int64 `json:"retriesByKind,omitempty"`     // retries by the failure kind that triggered them
+	Injections        map[string]int64 `json:"injections,omitempty"`        // injected fetch faults and egress flaps by kind
+	FrontierTruncated int64            `json:"frontierTruncated,omitempty"` // candidate URLs evicted by the MaxURLs cap
+	URLsByDepth       []int64          `json:"urlsByDepth,omitempty"`       // admitted URLs per depth level
+}
+
+// AddCrawl folds one crawl's tally into the ledger. Each admitted URL
+// is one scheduler item and one first fetch attempt, and each retry
+// one more attempt. Sums commute, so the result does not depend on the
+// order crawls are added.
+func (d *Deterministic) AddCrawl(t CrawlTally) {
+	for depth, n := range t.URLsByDepth {
+		for len(d.Crawl.URLsByDepth) <= depth {
+			d.Crawl.URLsByDepth = append(d.Crawl.URLsByDepth, 0)
+		}
+		d.Crawl.URLsByDepth[depth] += n
+		d.Crawl.FrontierAdmitted += n
+		d.Sched.ItemsScheduled += n
+		d.Sched.ItemsRun += n
+		d.Fetch.Attempts += n
+	}
+	d.Crawl.FrontierTruncated += t.FrontierTruncated
+	//lint:ignore map-order -- per-kind sums commute, and JSON renders the kinds sorted
+	for kind, n := range t.RetriesByKind {
+		d.Fetch.Retries += n
+		d.Fetch.Attempts += n
+		AddLabel(&d.Fetch.RetriesByKind, kind, n)
+	}
+	//lint:ignore map-order -- per-kind sums commute, and JSON renders the kinds sorted
+	for kind, n := range t.Injections {
+		AddLabel(&d.Faults.Injections, kind, n)
+	}
+}
+
+// AddLabel adds n to the label's count in *m, allocating the map on
+// first use so that a ledger with no labels keeps a nil map.
+func AddLabel(m *map[string]int64, label string, n int64) {
+	if *m == nil {
+		*m = map[string]int64{}
+	}
+	(*m)[label] += n
+}
+
 // Runtime is the wall-clock half: durations, queue pressure,
 // occupancy, coalesce counts. Reported, never golden-compared.
 type Runtime struct {
@@ -179,55 +227,14 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot freezes the registry. Concurrent recording during the call
-// is safe; the snapshot is then fully detached from the registry.
+// is safe. The runtime half is detached from the registry; the
+// deterministic half is the ledger SetDeterministic stored (zero
+// before it), whose maps are shared and read-only.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 
-	s.Deterministic.Sched = SchedCounters{
-		ItemsScheduled: r.Sched.ItemsScheduled.Load(),
-		ItemsRun:       r.Sched.ItemsRun.Load(),
-	}
-	s.Deterministic.Cache = CacheCounters{
-		Lookups:         r.Cache.Lookups.Load(),
-		Hits:            r.Cache.Hits.Load(),
-		Misses:          r.Cache.Misses.Load(),
-		NegativeEntries: r.Cache.NegativeEntries.Load(),
-		NegativeHits:    r.Cache.NegativeHits.Load(),
-	}
-	detCache := func(m *CacheMetrics) CacheCounters {
-		return CacheCounters{
-			Lookups:         m.Lookups.Load(),
-			Hits:            m.Hits.Load(),
-			Misses:          m.Misses.Load(),
-			NegativeEntries: m.NegativeEntries.Load(),
-			NegativeHits:    m.NegativeHits.Load(),
-		}
-	}
-	s.Deterministic.Geo = GeoCounters{
-		Unicast: detCache(&r.Geo.Unicast),
-		Anycast: detCache(&r.Geo.Anycast),
-	}
-	s.Deterministic.Fetch = FetchCounters{
-		Attempts:      r.Fetch.Attempts.Load(),
-		Retries:       r.Fetch.Retries.Load(),
-		RetriesByKind: r.Fetch.RetriesByKind.snapshot(),
-	}
-	s.Deterministic.Faults = FaultCounters{
-		Injections: r.Faults.Injections.snapshot(),
-	}
-	s.Deterministic.Crawl = CrawlCounters{
-		FrontierAdmitted:  r.Crawl.FrontierAdmitted.Load(),
-		FrontierTruncated: r.Crawl.FrontierTruncated.Load(),
-		URLsByDepth:       r.Crawl.urlsByDepth(),
-	}
-	s.Deterministic.Pipeline = PipelineCounters{
-		Annotations:     r.Pipeline.Annotations.Load(),
-		Records:         r.Pipeline.Records.Load(),
-		Failures:        r.Pipeline.Failures.Load(),
-		FailuresByKind:  r.Pipeline.FailuresByKind.snapshot(),
-		CountriesRun:    r.Pipeline.CountriesRun.Load(),
-		CountriesFailed: r.Pipeline.CountriesFailed.Load(),
-		Countries:       r.Pipeline.countrySnapshots(),
+	if d := r.ledger.Load(); d != nil {
+		s.Deterministic = *d
 	}
 
 	s.Runtime.Sched = SchedRuntime{

@@ -29,16 +29,6 @@ type Host struct {
 	Provider *Provider
 }
 
-// Location returns the host's ground-truth country as seen from the
-// given vantage country: the unicast country, or the effective anycast
-// site.
-func (n *Net) Location(h *Host, vantage string) string {
-	if !h.Anycast {
-		return h.Country
-	}
-	return n.AnycastSiteFor(h.Provider.Key, vantage)
-}
-
 // AnycastSiteFor returns the country of the anycast site a client in
 // the vantage country reaches: the in-country site when present,
 // otherwise the geographically closest site.

@@ -406,12 +406,6 @@ func (n *Net) ASForAddr(addr netip.Addr) *AS {
 	return n.blockToAS[idx]
 }
 
-// PrefixFor returns the /16 the address belongs to.
-func PrefixFor(addr netip.Addr) netip.Prefix {
-	p, _ := addr.Prefix(16)
-	return p
-}
-
 // AllocatedPrefix is one /16 block and its owning AS.
 type AllocatedPrefix struct {
 	Prefix netip.Prefix
@@ -437,9 +431,6 @@ func (n *Net) AllocatedPrefixes() []AllocatedPrefix {
 
 // Provider returns the catalogue entry for key, or nil.
 func (n *Net) Provider(key string) *Provider { return n.providerByKey[key] }
-
-// ProviderAS returns the AS of the provider.
-func (n *Net) ProviderAS(key string) *AS { return n.providerAS[key] }
 
 // AdoptedProviders returns the global providers a country's
 // government uses, in catalogue order.

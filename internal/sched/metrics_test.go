@@ -9,34 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestEachCountsItemsDeterministically: ItemsScheduled and ItemsRun
-// must equal the batch sizes exactly — at any pool width, including
-// the sequential small-batch path and the chunked helper path — since
-// these counts sit on the golden-comparable side of the snapshot.
-func TestEachCountsItemsDeterministically(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		m := &metrics.SchedMetrics{}
-		p := NewPool(workers)
-		p.SetMetrics(m)
-		var ran atomic.Int64
-		total := 0
-		for _, n := range []int{0, 3, 100, 1000} {
-			p.EachWith(context.Background(), n, nil, func(i int) { ran.Add(1) })
-			total += n
-		}
-		p.Close()
-		if got := ran.Load(); got != int64(total) {
-			t.Errorf("workers=%d: fn ran %d times, want %d", workers, got, total)
-		}
-		if got := m.ItemsScheduled.Load(); got != int64(total) {
-			t.Errorf("workers=%d: ItemsScheduled = %d, want %d", workers, got, total)
-		}
-		if got := m.ItemsRun.Load(); got != int64(total) {
-			t.Errorf("workers=%d: ItemsRun = %d, want %d", workers, got, total)
-		}
-	}
-}
-
 // TestSubmitAccountsQueueDepth: every accepted Submit counts as a
 // task, the depth gauge returns to zero once the queue drains, and a
 // cancelled submit leaves no residue.
@@ -128,14 +100,17 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	p.SetMetrics(m)
-	p.EachWith(context.Background(), 10, nil, func(i int) {})
-	p.SetMetrics(nil)
-	p.EachWith(context.Background(), 10, nil, func(i int) {})
-	if got := m.ItemsScheduled.Load(); got != 10 {
-		t.Errorf("ItemsScheduled = %d after detach, want 10", got)
-	}
 	var ran atomic.Int64
-	if !p.Submit(context.Background(), func() { ran.Add(1) }) {
-		t.Fatal("submit refused after detach")
+	p.Do(context.Background(), func() { ran.Add(1) })
+	p.SetMetrics(nil)
+	p.Each(context.Background(), 100, func(i int) { ran.Add(1) })
+	if !p.Do(context.Background(), func() { ran.Add(1) }) {
+		t.Fatal("task refused after detach")
+	}
+	if got := m.TasksSubmitted.Load(); got != 1 {
+		t.Errorf("TasksSubmitted = %d after detach, want 1", got)
+	}
+	if got := ran.Load(); got != 102 {
+		t.Errorf("ran %d functions, want 102", got)
 	}
 }

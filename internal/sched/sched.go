@@ -88,9 +88,9 @@ func (p *Pool) SetRetryBudget(b *Budget) { p.budget = b }
 // RetryBudget returns the attached budget, nil when none was set.
 func (p *Pool) RetryBudget() *Budget { return p.budget }
 
-// SetMetrics attaches the scheduler's metrics slice: deterministic
-// item counts from EachWith, plus queue-depth/occupancy high-water
-// marks and queue-wait latencies. Nil detaches. Safe to call while the pool
+// SetMetrics attaches the scheduler's metrics slice: task
+// submissions, queue-depth/occupancy high-water marks and queue-wait
+// latencies. Nil detaches. Safe to call while the pool
 // is running; recording starts with the next task.
 func (p *Pool) SetMetrics(m *metrics.SchedMetrics) { p.metrics.Store(m) }
 
@@ -217,11 +217,11 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// minChunk floors the per-claim batch size in EachWith: below this, the
+// minChunk floors the per-claim batch size in Each: below this, the
 // claim and handoff cost more than any load-balance win.
 const minChunk = 8
 
-// EachWith runs fn(i) for every i in [0, n) and waits for completion.
+// Each runs fn(i) for every i in [0, n) and waits for completion.
 // The calling goroutine participates: it claims contiguous index
 // chunks from an atomic cursor and runs them itself, while pool
 // workers that can take work immediately steal chunks alongside it.
@@ -233,25 +233,9 @@ const minChunk = 8
 // claimed and running chunks stop between items, so some fn calls may
 // never happen; callers that need to know which ran should record
 // completion in their per-index result slot.
-//
-// The deterministic item accounting (ItemsScheduled/ItemsRun) lands on
-// det instead of the pool's study-wide SchedMetrics, so a caller
-// running one country's batches can capture that country's
-// attributable counts (the checkpoint contract needs them separable).
-// A nil det falls back to the pool's metrics. Runtime enqueue
-// accounting — queue depth, occupancy, wait — always stays
-// pool-global: it describes the shared pool, not the caller.
-func (p *Pool) EachWith(ctx context.Context, n int, det *metrics.SchedMetrics, fn func(i int)) {
+func (p *Pool) Each(ctx context.Context, n int, fn func(i int)) {
 	if n == 0 {
 		return
-	}
-	m := p.metrics.Load()
-	items := det
-	if items == nil {
-		items = m
-	}
-	if items != nil {
-		items.ItemsScheduled.Add(int64(n))
 	}
 	// Several chunks per worker keeps load balanced when item costs
 	// vary without giving back the per-chunk claim cost.
@@ -260,29 +244,16 @@ func (p *Pool) EachWith(ctx context.Context, n int, det *metrics.SchedMetrics, f
 		chunk = minChunk
 	}
 	if chunk >= n {
-		ran := 0
 		for i := 0; i < n; i++ {
 			if i > 0 && ctx.Err() != nil {
 				break
 			}
 			fn(i)
-			ran++
-		}
-		if items != nil {
-			items.ItemsRun.Add(int64(ran))
 		}
 		return
 	}
 	var cursor atomic.Int64
 	run := func() {
-		// Items are tallied per claimant, not per item: one atomic add
-		// when the claimant stops, however many chunks it ran.
-		var ran int64
-		defer func() {
-			if items != nil && ran > 0 {
-				items.ItemsRun.Add(ran)
-			}
-		}()
 		for ctx.Err() == nil {
 			start := int(cursor.Add(int64(chunk))) - chunk
 			if start >= n {
@@ -297,10 +268,10 @@ func (p *Pool) EachWith(ctx context.Context, n int, det *metrics.SchedMetrics, f
 					return
 				}
 				fn(i)
-				ran++
 			}
 		}
 	}
+	m := p.metrics.Load()
 	// Recruit at most one helper per remaining chunk beyond the
 	// caller's own, and only workers that are free right now — a busy
 	// pool means the caller just does the work itself.

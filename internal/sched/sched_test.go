@@ -29,6 +29,25 @@ func TestPoolRunsEveryTask(t *testing.T) {
 	}
 }
 
+// TestEachRunsEveryIndexOnce: Each calls fn exactly once per index at
+// any pool width, on the sequential small-batch path and the chunked
+// helper path alike.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 4, 16} {
+		p := NewPool(workers)
+		for _, n := range []int{0, 3, 100, 1000} {
+			hits := make([]atomic.Int32, n)
+			p.Each(context.Background(), n, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	p := NewPool(workers)

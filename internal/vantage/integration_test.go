@@ -114,11 +114,11 @@ func TestHTTPCrawlMatchesMemCrawl(t *testing.T) {
 		Config:  crawler.Config{Concurrency: 8, Country: country},
 	}
 	ctx := context.Background()
-	ha, err := httpCrawler.Crawl(ctx, landings)
+	ha, _, err := httpCrawler.Crawl(ctx, landings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := memCrawler.Crawl(ctx, landings)
+	ma, _, err := memCrawler.Crawl(ctx, landings)
 	if err != nil {
 		t.Fatal(err)
 	}

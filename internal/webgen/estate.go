@@ -107,9 +107,6 @@ func (s *Site) URL(path string) string {
 	return "https://" + s.Host + path
 }
 
-// PageCount returns the number of pages (documents and resources).
-func (s *Site) PageCount() int { return len(s.Pages) }
-
 // SortedPaths returns the site's paths in deterministic order.
 func (s *Site) SortedPaths() []string {
 	out := make([]string, 0, len(s.Pages))

@@ -66,15 +66,6 @@ func (m *Model) InRegion(r Region) []*Country {
 	return out
 }
 
-// Codes returns the ISO codes of the panel in stable order.
-func (m *Model) Codes() []string {
-	var out []string
-	for _, c := range m.Panel() {
-		out = append(out, c.Code)
-	}
-	return out
-}
-
 // SortedCodes returns all country codes (panel and host-only) sorted
 // lexicographically; useful for deterministic iteration over maps.
 func (m *Model) SortedCodes() []string {
