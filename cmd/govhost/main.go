@@ -129,7 +129,7 @@ func main() {
 		defer stop()
 		done, err := govhost.RunShardWorker(ctx, cfg, idx, n)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "govhost:", err)
+			fmt.Fprintln(os.Stderr, err) // already prefixed "govhost:"
 			os.Exit(1)
 		}
 		if !*quiet {
@@ -163,7 +163,9 @@ func main() {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "govhost:", err)
+		// Load, Run and RunSharded prefix their errors "govhost:", and
+		// runSharded prefixes its own.
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if !*quiet {
@@ -212,21 +214,16 @@ func main() {
 	if *metricsOut != "" {
 		snap, ok := study.Metrics()
 		if !ok {
-			if *fromJSONL != "" {
-				// A re-analysis never ran the pipeline, so the per-stage
-				// ledger (fetches, cache hits, scheduler shape) would be
-				// all zeros — printing it as if measured would be
-				// misleading, and the old behaviour (exit 1) made the
-				// flag combination look like an error. Say what is and
-				// is not available instead.
-				st := study.Stats()
-				fmt.Fprintf(os.Stderr, "govhost: -metrics: no pipeline metrics in a re-analysis (-from-jsonl): the per-stage ledger describes a live run and was not serialised.\n")
-				fmt.Fprintf(os.Stderr, "govhost: dataset-level statistics are available: %d URLs, %d hostnames, %d IPs, %d ASes (%d gov), %d server countries; run -exp coverage for the per-country coverage table.\n",
-					st.UniqueURLs, st.UniqueHostnames, st.UniqueIPs, st.ASes, st.GovASes, st.ServerCountries)
-				return
-			}
-			fmt.Fprintln(os.Stderr, "govhost: no metrics snapshot (metrics disabled)")
-			os.Exit(1)
+			// Only a re-analysis (-from-jsonl) has no ledger: it never
+			// ran the pipeline, so the per-stage ledger (fetches, cache
+			// hits, scheduler shape) would be all zeros, and printing it
+			// as if measured would mislead. The flag combination is not
+			// an error: say what is and is not available instead.
+			st := study.Stats()
+			fmt.Fprintf(os.Stderr, "govhost: -metrics: no pipeline metrics in a re-analysis (-from-jsonl): the per-stage ledger describes a live run and was not serialised.\n")
+			fmt.Fprintf(os.Stderr, "govhost: dataset-level statistics are available: %d URLs, %d hostnames, %d IPs, %d ASes (%d gov), %d server countries; run -exp coverage for the per-country coverage table.\n",
+				st.UniqueURLs, st.UniqueHostnames, st.UniqueIPs, st.ASes, st.GovASes, st.ServerCountries)
+			return
 		}
 		switch *metricsOut {
 		case "text":
@@ -252,7 +249,7 @@ func main() {
 func runSharded(ctx context.Context, cfg govhost.Config, n, restarts int, quiet bool) (*govhost.Study, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("govhost: %w", err)
 	}
 	base := workerArgs()
 	study, outcomes, err := govhost.RunSharded(ctx, cfg, govhost.Sharding{

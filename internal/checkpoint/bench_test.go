@@ -56,6 +56,44 @@ func BenchmarkCheckpointOpen(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
+// BenchmarkCheckpointPut measures a study's checkpoint writes: every
+// country of a complete checkpoint stored again into a fresh
+// directory, encoding, checksum, temp file, fsync and rename included.
+func BenchmarkCheckpointPut(b *testing.B) {
+	store, res, err := checkpoint.Open(studyCheckpoint(b), core.StudyManifest(benchConfig), checkpoint.Options{Resume: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	for _, c := range res.Countries {
+		records += len(c.Records)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst, _, err := checkpoint.Open(b.TempDir(), core.StudyManifest(benchConfig), checkpoint.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, c := range res.Countries {
+			if err := dst.Put(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := dst.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}
+
 // TestCheckpointOpenAllocationBudget pins the allocations of a resume
 // load per decoded record. Each record costs its URL string; interned
 // fields, IP text and the exact-size record slices add a small

@@ -41,7 +41,11 @@
 // spelling, even valid JSON with a matching checksum, is unparseable
 // and quarantined — the checksum is taken over the body in place, and
 // the body is walked once, its records decoded by internal/jsonrec
-// with strings interned across the whole load.
+// with strings interned across the whole load. Records and the stats
+// row are stored under the dataset types' json tags, the keys of the
+// JSONL export, with zero optional fields omitted. Keys match case
+// insensitively, so a file written before the tags existed (Go field
+// names, every field present) loads to the same Country.
 package checkpoint
 
 import (
@@ -534,10 +538,9 @@ func syncDir(dir string) error {
 // loadAll reads every stored country, verifying each file's checksum
 // and code/filename agreement. A file that fails verification is
 // quarantined — renamed to `.corrupt` — and reported, not fatal: its
-// country re-runs, which is self-healing by construction. Load order
-// does not matter: deltas are additive and the caller assembles
-// countries by code. os.ReadDir sorts by filename, so countries arrive
-// in sorted-code order. One record decoder serves the whole load, so
+// country re-runs, which is self-healing by construction. The caller
+// assembles countries by code; os.ReadDir sorts by filename, so they
+// arrive in sorted-code order. One record decoder serves the whole load, so
 // strings repeated across countries are interned once.
 func (s *Store) loadAll() (*LoadResult, error) {
 	entries, err := os.ReadDir(s.dir)
@@ -545,7 +548,7 @@ func (s *Store) loadAll() (*LoadResult, error) {
 		return nil, err
 	}
 	res := &LoadResult{}
-	dec := jsonrec.NewDecoder(jsonrec.CheckpointKeys)
+	dec := jsonrec.NewDecoder()
 	for _, e := range entries {
 		name := e.Name()
 		if name == manifestName || !strings.HasSuffix(name, ".json") {

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -19,7 +21,9 @@ import (
 
 // decodeCountryReference is the encoding/json reading of a country
 // file: the envelope unmarshalled with the body as a RawMessage, the
-// checksum compared, then the body unmarshalled reflectively. It is
+// checksum compared, then the body unmarshalled reflectively into
+// Country, whose records and stats row decode under the dataset types'
+// json tags. It is
 // the reference decodeCountry is held to — whatever decodeCountry
 // accepts, this accepts with an identical Country, tally row included.
 // It is more lenient about framing (any JSON spelling of the envelope
@@ -80,7 +84,7 @@ func richCountry(code string) Country {
 func TestDecodeCountryMatchesReference(t *testing.T) {
 	for _, c := range []Country{testCountry("UY"), richCountry("MX"), {Code: "NG"}} {
 		raw := storedBytes(t, c)
-		got, err := decodeCountry(jsonrec.NewDecoder(jsonrec.CheckpointKeys), raw, c.Code+".json")
+		got, err := decodeCountry(jsonrec.NewDecoder(), raw, c.Code+".json")
 		if err != nil {
 			t.Fatalf("%s: %v", c.Code, err)
 		}
@@ -99,7 +103,7 @@ func TestDecodeCountryMatchesReference(t *testing.T) {
 // quarantines the file instead of loading it.
 func TestEveryByteMutationRejected(t *testing.T) {
 	raw := storedBytes(t, richCountry("UY"))
-	dec := jsonrec.NewDecoder(jsonrec.CheckpointKeys)
+	dec := jsonrec.NewDecoder()
 	for i := range raw {
 		for _, flip := range []byte{0x01, 0x20, 0x80, 0xff} {
 			m := append([]byte(nil), raw...)
@@ -149,7 +153,7 @@ func FuzzDecodeCountry(f *testing.F) {
 			sum := sha256.Sum256(data)
 			raw = []byte(envHead + hex.EncodeToString(sum[:]) + envMid + string(data) + envTail)
 		}
-		c, err := decodeCountry(jsonrec.NewDecoder(jsonrec.CheckpointKeys), raw, name)
+		c, err := decodeCountry(jsonrec.NewDecoder(), raw, name)
 		if err != nil {
 			return
 		}
@@ -165,8 +169,55 @@ func FuzzDecodeCountry(f *testing.F) {
 		}
 		m := append([]byte(nil), raw...)
 		m[pos%uint(len(m))] ^= flip
-		if _, err := decodeCountry(jsonrec.NewDecoder(jsonrec.CheckpointKeys), m, name); err == nil {
+		if _, err := decodeCountry(jsonrec.NewDecoder(), m, name); err == nil {
 			t.Fatalf("byte %d ^ %#x accepted", pos%uint(len(m)), flip)
 		}
 	})
+}
+
+// corpusFile reads the []byte argument of a committed FuzzDecodeCountry
+// corpus entry.
+func corpusFile(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeCountry", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arg, ok := strings.Cut(string(raw), "\n[]byte(")
+	arg, _, ok2 := strings.Cut(arg, ")\n")
+	data, err := strconv.Unquote(arg)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a corpus entry with a []byte argument: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestFieldNamedFilesReencodeUnderTags: country files written before
+// the record and stats row carried json tags name every field by its
+// Go name and store zero values. They decode, because keys match case
+// insensitively; Put writes the same Country back under the tags,
+// omitting zero optional fields, into a smaller file that decodes to
+// the same Country.
+func TestFieldNamedFilesReencodeUnderTags(t *testing.T) {
+	for name, file := range map[string]string{"put-uy-tally": "UY.json", "put-kz-study": "KZ.json"} {
+		old := corpusFile(t, name)
+		if !strings.Contains(string(old), `"LandingURLs":`) || !strings.Contains(string(old), `"HTTPSValid":false`) {
+			t.Fatalf("%s is not a file written under Go field names", name)
+		}
+		c, err := decodeCountry(jsonrec.NewDecoder(), old, file)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw := storedBytes(t, c)
+		again, err := decodeCountry(jsonrec.NewDecoder(), raw, file)
+		if err != nil {
+			t.Fatalf("%s re-put: %v", name, err)
+		}
+		if !reflect.DeepEqual(again, c) {
+			t.Fatalf("%s: re-put country differs:\n got %+v\nwant %+v", name, again, c)
+		}
+		if len(raw) >= len(old) {
+			t.Fatalf("%s: re-put file is %d bytes, not smaller than %d", name, len(raw), len(old))
+		}
+	}
 }

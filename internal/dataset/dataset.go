@@ -11,41 +11,44 @@ import (
 	"repro/internal/world"
 )
 
-// URLRecord is one fully annotated government URL.
+// URLRecord is one fully annotated government URL. Its json tags are
+// the wire schema of the dataset: the JSONL export writes a record as
+// these keys plus the line's kind, and a checkpoint stores its records
+// under them.
 type URLRecord struct {
-	URL     string
-	Host    string
-	Country string // the government the URL belongs to
-	Region  world.Region
-	Bytes   int64
-	Depth   int
+	URL     string       `json:"url"`
+	Host    string       `json:"host"`
+	Country string       `json:"country"` // the government the URL belongs to
+	Region  world.Region `json:"region"`
+	Bytes   int64        `json:"bytes"`
+	Depth   int          `json:"depth"`
 
-	Method string // Table 1 classification method: tld / domain / san
+	Method string `json:"method,omitempty"` // Table 1 classification method: tld / domain / san
 
 	// Serving infrastructure (§3.4).
-	IP         netip.Addr
-	ASN        int
-	Org        string
-	RegCountry string // WHOIS country of registration
-	GovAS      bool   // classified as government/SOE network
+	IP         netip.Addr `json:"ip"`
+	ASN        int        `json:"asn"`
+	Org        string     `json:"org"`
+	RegCountry string     `json:"regCountry"`      // WHOIS country of registration
+	GovAS      bool       `json:"govAS,omitempty"` // classified as government/SOE network
 
 	// Geolocation (§3.5).
-	Anycast      bool
-	ServeCountry string // validated server country; "" when excluded
-	GeoMethod    string // AP / MG / UR / EX
+	Anycast      bool   `json:"anycast,omitempty"`
+	ServeCountry string `json:"serveCountry,omitempty"` // validated server country; "" when excluded
+	GeoMethod    string `json:"geoMethod,omitempty"`    // AP / MG / UR / EX
 
 	// Category is the provider category assigned by the analysis. For
 	// top-site records, CatGovtSOE stands for "Self-Hosting"
 	// (Appendix D redefines the first category for popular sites).
-	Category world.Category
+	Category world.Category `json:"category"`
 
 	// TopsiteSelf marks top-site records the Appendix D CNAME/SAN
 	// heuristic identified as self-hosted.
-	TopsiteSelf bool
+	TopsiteSelf bool `json:"topsiteSelf,omitempty"`
 
 	// HTTPSValid reports whether the site's certificate would pass
 	// browser validation (extension: Singanamalla et al., §9).
-	HTTPSValid bool
+	HTTPSValid bool `json:"httpsValid,omitempty"`
 }
 
 // Domestic reports whether the URL is served from inside its own
@@ -63,28 +66,30 @@ func (r *URLRecord) RegDomestic() bool {
 // CountryStats is the per-country slice of Table 8, extended with the
 // paper-style coverage accounting (Tables 3–4 report the harness's own
 // failure statistics; a pipeline that silently drops failures cannot).
+// Its json tags are the wire schema of a country-statistics row, in
+// the JSONL export and in a checkpoint.
 type CountryStats struct {
-	Country      string
-	Region       world.Region
-	LandingURLs  int
-	InternalURLs int
-	Hostnames    int
+	Country      string       `json:"country"`
+	Region       world.Region `json:"region"`
+	LandingURLs  int          `json:"landingURLs"`
+	InternalURLs int          `json:"internalURLs"`
+	Hostnames    int          `json:"hostnames"`
 
 	// Coverage accounting.
-	Attempted  int            // URLs fetched during the crawl
-	FailedURLs int            // fetches that classified as failures
-	Failures   map[string]int // failure counts by taxonomy bucket (fetch.FailKind)
-	Retries    int            // retry attempts the fetch stack spent
+	Attempted  int            `json:"attempted,omitempty"`  // URLs fetched during the crawl
+	FailedURLs int            `json:"failedURLs,omitempty"` // fetches that classified as failures
+	Failures   map[string]int `json:"failures,omitempty"`   // failure counts by taxonomy bucket (fetch.FailKind)
+	Retries    int            `json:"retries,omitempty"`    // retry attempts the fetch stack spent
 	// VantageAttempts counts VPN connections used to obtain a
 	// validated egress (1 = the first egress validated).
-	VantageAttempts int
+	VantageAttempts int `json:"vantageAttempts,omitempty"`
 
 	// Failed marks a country whose collection failed wholesale (no
 	// validated vantage within the re-connection bound); its records
 	// are absent and FailureReason says why. The study still completes
 	// with a partial dataset.
-	Failed        bool
-	FailureReason string
+	Failed        bool   `json:"failed,omitempty"`
+	FailureReason string `json:"failureReason,omitempty"`
 }
 
 // AddFailure counts one failure of the given kind.

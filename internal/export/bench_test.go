@@ -6,19 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/export"
 )
 
-// studyExport runs a scale-0.01 study (about 11k records) and returns
-// its JSONL export.
-func studyExport(tb testing.TB) []byte {
+// studyDataset runs a scale-0.01 study (about 11k records).
+func studyDataset(tb testing.TB) *dataset.Dataset {
 	tb.Helper()
 	ds, err := core.NewEnv(core.Config{Seed: 42, Scale: 0.01}).Run(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return ds
+}
+
+// studyExport returns the JSONL export of the scale-0.01 study.
+func studyExport(tb testing.TB) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := export.WriteJSONL(&buf, ds); err != nil {
+	if err := export.WriteJSONL(&buf, studyDataset(tb)); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -45,6 +51,27 @@ func BenchmarkReadJSONL(b *testing.B) {
 		readAll(b, data)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}
+
+// BenchmarkWriteJSONL measures encoding a study's JSONL export, as
+// govhost -dump-jsonl does and as the serving daemon does into a hash
+// for the dataset version on every snapshot build.
+func BenchmarkWriteJSONL(b *testing.B) {
+	ds := studyDataset(b)
+	var buf bytes.Buffer
+	if err := export.WriteJSONL(&buf, ds); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := export.WriteJSONL(&buf, ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(ds.Records)+len(ds.Topsites))), "ns/record")
 }
 
 // TestReadJSONLAllocationBudget pins the allocations of an export load

@@ -3,8 +3,12 @@
 // interchange format: a JSON-lines stream (a header object carrying
 // study metadata, one annotated URL record per line, per-country
 // coverage-statistics lines, and a trailer with the counts) and a CSV
-// variant for spreadsheet-bound consumers. Only the current
-// FormatVersion is read back; no writer produces any other.
+// variant for spreadsheet-bound consumers. A record line is a
+// dataset.URLRecord and a country line a dataset.CountryStats, each
+// encoded under the type's own json tags with the line's kind added, so
+// the schema is written down once, on the dataset types, and a
+// checkpoint stores records and rows under the same keys. Only the
+// current FormatVersion is read back; no writer produces any other.
 // Round-tripping is lossless for every field the analyses read, so a
 // saved dataset can be re-analysed without re-running the pipeline —
 // including the failure taxonomy a chaos run produces.
@@ -50,82 +54,18 @@ type trailer struct {
 	Countries int    `json:"countries"`
 }
 
-// jsonCountryStats is the wire form of one country's statistics,
-// including the coverage/failure accounting of Tables 3–4.
-type jsonCountryStats struct {
-	Kind            string         `json:"kind"` // "country"
-	Country         string         `json:"country"`
-	Region          string         `json:"region"`
-	LandingURLs     int            `json:"landingURLs"`
-	InternalURLs    int            `json:"internalURLs"`
-	Hostnames       int            `json:"hostnames"`
-	Attempted       int            `json:"attempted,omitempty"`
-	FailedURLs      int            `json:"failedURLs,omitempty"`
-	Failures        map[string]int `json:"failures,omitempty"`
-	Retries         int            `json:"retries,omitempty"`
-	VantageAttempts int            `json:"vantageAttempts,omitempty"`
-	Failed          bool           `json:"failed,omitempty"`
-	FailureReason   string         `json:"failureReason,omitempty"`
+// recordLine is a record's line: the record's own json fields, then
+// the line's kind, "gov" or "topsite".
+type recordLine struct {
+	*dataset.URLRecord
+	Kind string `json:"kind"`
 }
 
-func statsToWire(s *dataset.CountryStats) jsonCountryStats {
-	return jsonCountryStats{
-		Kind: "country", Country: s.Country, Region: string(s.Region),
-		LandingURLs: s.LandingURLs, InternalURLs: s.InternalURLs, Hostnames: s.Hostnames,
-		Attempted: s.Attempted, FailedURLs: s.FailedURLs, Failures: s.Failures,
-		Retries: s.Retries, VantageAttempts: s.VantageAttempts,
-		Failed: s.Failed, FailureReason: s.FailureReason,
-	}
-}
-
-// statsFromWire converts a decoded statistics line. An empty failure
-// map reads as nil, since the writer omits it, so every loaded dataset
-// round-trips through WriteJSONL unchanged.
-func statsFromWire(w *jsonCountryStats) *dataset.CountryStats {
-	if len(w.Failures) == 0 {
-		w.Failures = nil
-	}
-	return &dataset.CountryStats{
-		Country: w.Country, Region: world.Region(w.Region),
-		LandingURLs: w.LandingURLs, InternalURLs: w.InternalURLs, Hostnames: w.Hostnames,
-		Attempted: w.Attempted, FailedURLs: w.FailedURLs, Failures: w.Failures,
-		Retries: w.Retries, VantageAttempts: w.VantageAttempts,
-		Failed: w.Failed, FailureReason: w.FailureReason,
-	}
-}
-
-// jsonRecord is the wire form of a URL record.
-type jsonRecord struct {
-	URL          string `json:"url"`
-	Host         string `json:"host"`
-	Country      string `json:"country"`
-	Region       string `json:"region"`
-	Bytes        int64  `json:"bytes"`
-	Depth        int    `json:"depth"`
-	Method       string `json:"method,omitempty"`
-	IP           string `json:"ip"`
-	ASN          int    `json:"asn"`
-	Org          string `json:"org"`
-	RegCountry   string `json:"regCountry"`
-	GovAS        bool   `json:"govAS,omitempty"`
-	Anycast      bool   `json:"anycast,omitempty"`
-	ServeCountry string `json:"serveCountry,omitempty"`
-	GeoMethod    string `json:"geoMethod,omitempty"`
-	Category     int    `json:"category"`
-	TopsiteSelf  bool   `json:"topsiteSelf,omitempty"`
-	HTTPSValid   bool   `json:"httpsValid,omitempty"`
-	Kind         string `json:"kind"` // "gov" or "topsite"
-}
-
-func toWire(r *dataset.URLRecord, kind string) jsonRecord {
-	return jsonRecord{
-		URL: r.URL, Host: r.Host, Country: r.Country, Region: string(r.Region),
-		Bytes: r.Bytes, Depth: r.Depth, Method: r.Method,
-		IP: r.IP.String(), ASN: r.ASN, Org: r.Org, RegCountry: r.RegCountry,
-		GovAS: r.GovAS, Anycast: r.Anycast,
-		ServeCountry: r.ServeCountry, GeoMethod: r.GeoMethod,
-		Category: int(r.Category), TopsiteSelf: r.TopsiteSelf, HTTPSValid: r.HTTPSValid, Kind: kind,
-	}
+// countryLine is a country's coverage-statistics line: the kind
+// "country", then the row's own json fields.
+type countryLine struct {
+	Kind string `json:"kind"`
+	*dataset.CountryStats
 }
 
 // WriteJSONL writes the dataset as JSON lines: a header object, one
@@ -143,12 +83,12 @@ func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
 		return err
 	}
 	for i := range ds.Records {
-		if err := enc.Encode(toWire(&ds.Records[i], "gov")); err != nil {
+		if err := enc.Encode(recordLine{&ds.Records[i], "gov"}); err != nil {
 			return err
 		}
 	}
 	for i := range ds.Topsites {
-		if err := enc.Encode(toWire(&ds.Topsites[i], "topsite")); err != nil {
+		if err := enc.Encode(recordLine{&ds.Topsites[i], "topsite"}); err != nil {
 			return err
 		}
 	}
@@ -158,7 +98,7 @@ func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
 	}
 	sort.Strings(codes)
 	for _, code := range codes {
-		if err := enc.Encode(statsToWire(ds.PerCountry[code])); err != nil {
+		if err := enc.Encode(countryLine{"country", ds.PerCountry[code]}); err != nil {
 			return err
 		}
 	}
@@ -217,7 +157,7 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 		Seed: h.Seed, Scale: h.Scale,
 		PerCountry: map[string]*dataset.CountryStats{},
 	}
-	dec := jsonrec.NewDecoder(jsonrec.ExportKeys)
+	dec := jsonrec.NewDecoder()
 	var tr *trailer
 	for sc.Scan() {
 		line++
@@ -244,11 +184,16 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 				ds.Topsites = append(ds.Topsites, rec)
 			}
 		case "country":
-			var w jsonCountryStats
-			if err := json.Unmarshal(b, &w); err != nil {
+			st := new(dataset.CountryStats)
+			if err := json.Unmarshal(b, st); err != nil {
 				return nil, bad(fmt.Errorf("country stats: %w", err))
 			}
-			ds.PerCountry[w.Country] = statsFromWire(&w)
+			// The writer omits an empty failure map, so it reads as nil
+			// and every loaded dataset round-trips unchanged.
+			if len(st.Failures) == 0 {
+				st.Failures = nil
+			}
+			ds.PerCountry[st.Country] = st
 		case "trailer":
 			var t trailer
 			if err := json.Unmarshal(b, &t); err != nil {

@@ -151,3 +151,24 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 	})
 }
+
+// TestReferenceRejectsBadRecords: the reference and ReadJSONL refuse
+// the same record defects, so the reference's accept set is not widened
+// by decoding into the tagged record, whose IP reads empty text as the
+// zero address.
+func TestReferenceRejectsBadRecords(t *testing.T) {
+	for name, rec := range map[string]string{
+		"empty IP":     `{"url":"u","ip":"","kind":"gov"}`,
+		"no IP":        `{"url":"u","kind":"gov"}`,
+		"bad IP":       `{"url":"u","ip":"1.2.3","kind":"gov"}`,
+		"bad category": `{"url":"u","ip":"1.2.3.4","category":-1,"kind":"gov"}`,
+	} {
+		in := singleRecordExport(rec)
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: ReadJSONL accepts", name)
+		}
+		if _, err := readJSONLReference(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: reference accepts", name)
+		}
+	}
+}

@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/netip"
 
 	"repro/internal/dataset"
 	"repro/internal/world"
 )
 
 // readJSONLReference is the encoding/json reading of a JSONL export:
-// every line decoded reflectively, record lines twice (kind probe,
-// then the wire struct). It is the reference the single-pass
+// every line decoded reflectively into the tagged dataset types, record
+// lines twice (kind probe, then the record). It is the reference the single-pass
 // ReadJSONL is held to — whatever ReadJSONL accepts, this accepts with
 // an identical result. It keeps the historical leniency of loading
 // any unknown kind as a government record, which ReadJSONL rejects.
@@ -58,11 +57,14 @@ func readJSONLReference(r io.Reader) (*dataset.Dataset, error) {
 		}
 		switch probe.Kind {
 		case "country":
-			var w jsonCountryStats
-			if err := json.Unmarshal(line, &w); err != nil {
+			st := new(dataset.CountryStats)
+			if err := json.Unmarshal(line, st); err != nil {
 				return nil, fmt.Errorf("export: country stats: %w", err)
 			}
-			ds.PerCountry[w.Country] = statsFromWire(&w)
+			if len(st.Failures) == 0 {
+				st.Failures = nil
+			}
+			ds.PerCountry[st.Country] = st
 		case "trailer":
 			var t trailer
 			if err := json.Unmarshal(line, &t); err != nil {
@@ -98,24 +100,19 @@ func readJSONLReference(r io.Reader) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
+// referenceRecord decodes one record line into the tagged
+// dataset.URLRecord. A missing or empty IP decodes as the zero address
+// and, like an unparseable one, rejects the line.
 func referenceRecord(line []byte) (dataset.URLRecord, error) {
-	var w jsonRecord
-	if err := json.Unmarshal(line, &w); err != nil {
+	var rec dataset.URLRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
 		return dataset.URLRecord{}, fmt.Errorf("export: record: %w", err)
 	}
-	ip, err := netip.ParseAddr(w.IP)
-	if err != nil {
-		return dataset.URLRecord{}, fmt.Errorf("export: record %q: bad IP %q", w.URL, w.IP)
+	if !rec.IP.IsValid() {
+		return dataset.URLRecord{}, fmt.Errorf("export: record %q: missing IP", rec.URL)
 	}
-	if w.Category < 0 || w.Category >= int(world.NumCategories) {
-		return dataset.URLRecord{}, fmt.Errorf("export: record %q: bad category %d", w.URL, w.Category)
+	if rec.Category < 0 || rec.Category >= world.NumCategories {
+		return dataset.URLRecord{}, fmt.Errorf("export: record %q: bad category %d", rec.URL, rec.Category)
 	}
-	return dataset.URLRecord{
-		URL: w.URL, Host: w.Host, Country: w.Country, Region: world.Region(w.Region),
-		Bytes: w.Bytes, Depth: w.Depth, Method: w.Method,
-		IP: ip, ASN: w.ASN, Org: w.Org, RegCountry: w.RegCountry,
-		GovAS: w.GovAS, Anycast: w.Anycast,
-		ServeCountry: w.ServeCountry, GeoMethod: w.GeoMethod,
-		Category: world.Category(w.Category), TopsiteSelf: w.TopsiteSelf, HTTPSValid: w.HTTPSValid,
-	}, nil
+	return rec, nil
 }

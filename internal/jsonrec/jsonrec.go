@@ -3,7 +3,9 @@
 // loading both read tens of megabytes of records; encoding/json's
 // reflective decoder validates and scans every byte several times, so
 // this package replaces it on those two read paths with one
-// schema-specialised walk driven by a key table.
+// schema-specialised walk driven by one key table: dataset.URLRecord's
+// json tags, which both files write records under, and the export
+// line's kind.
 //
 // The decoder accepts a subset of what encoding/json accepts and, on
 // that subset, yields exactly what encoding/json would: keys match
@@ -30,8 +32,8 @@ import (
 	"repro/internal/world"
 )
 
-// The record fields, in the order both writers emit them. Kind is
-// last so a key table without it is a prefix.
+// The record fields, in the order of keys. Kind is last, so the
+// table without it is exactly the record's own fields.
 const (
 	fURL = iota
 	fHost
@@ -54,55 +56,41 @@ const (
 	fKind
 )
 
-// Keys is the key table of one record encoding.
-type Keys struct {
-	names []string
+// keys are dataset.URLRecord's json tags in field order, then the
+// JSONL export's kind. A checkpoint stores records under the same
+// tags, so one table serves both read paths; the export's lines carry
+// the kind, and a checkpoint's record arrays are decoded without it.
+var keys = []string{
+	"url", "host", "country", "region", "bytes", "depth", "method",
+	"ip", "asn", "org", "regCountry", "govAS", "anycast",
+	"serveCountry", "geoMethod", "category", "topsiteSelf", "httpsValid",
+	"kind",
 }
 
-var (
-	// CheckpointKeys are dataset.URLRecord's Go field names — the keys
-	// encoding/json writes for the untagged struct, with IP as text.
-	CheckpointKeys = &Keys{names: []string{
-		"URL", "Host", "Country", "Region", "Bytes", "Depth", "Method",
-		"IP", "ASN", "Org", "RegCountry", "GovAS", "Anycast",
-		"ServeCountry", "GeoMethod", "Category", "TopsiteSelf", "HTTPSValid",
-	}}
-	// ExportKeys are the JSONL export's record tags, including the
-	// line's kind.
-	ExportKeys = &Keys{names: []string{
-		"url", "host", "country", "region", "bytes", "depth", "method",
-		"ip", "asn", "org", "regCountry", "govAS", "anycast",
-		"serveCountry", "geoMethod", "category", "topsiteSelf", "httpsValid",
-		"kind",
-	}}
-)
-
-// Decoder decodes records with one key table. It carries the intern
-// tables of one load and is not safe for concurrent use.
+// Decoder decodes records. It carries the intern tables of one load
+// and is not safe for concurrent use.
 type Decoder struct {
-	keys  *Keys
 	strs  map[string]string
 	ips   map[string]netip.Addr
 	buf   []byte
 	batch []dataset.URLRecord
 }
 
-// NewDecoder returns a decoder for the encoding keys describes.
-func NewDecoder(keys *Keys) *Decoder {
-	return &Decoder{keys: keys, strs: map[string]string{}, ips: map[string]netip.Addr{}}
+// NewDecoder returns a decoder with empty intern tables.
+func NewDecoder() *Decoder {
+	return &Decoder{strs: map[string]string{}, ips: map[string]netip.Addr{}}
 }
 
 func (d *Decoder) scan(b []byte) *scanner { return &scanner{b: b, buf: &d.buf} }
 
 // Line decodes b, one JSON object with optional surrounding
 // whitespace, into rec and returns the object's kind (empty when the
-// key table has none or the object carries none). Keys that are not
-// record fields are skipped, so an object of another kind decodes with
-// only its record-named fields set. A missing or empty IP leaves
-// rec.IP zero.
+// object carries none). Keys that are not record fields are skipped,
+// so an object of another kind decodes with only its record-named
+// fields set. A missing or empty IP leaves rec.IP zero.
 func (d *Decoder) Line(b []byte, rec *dataset.URLRecord) (kind string, err error) {
 	s := d.scan(b)
-	if kind, err = d.record(s, rec); err != nil {
+	if kind, err = d.record(s, keys, rec); err != nil {
 		return "", err
 	}
 	if s.next(); s.i != len(b) {
@@ -113,7 +101,8 @@ func (d *Decoder) Line(b []byte, rec *dataset.URLRecord) (kind string, err error
 
 // Records decodes the JSON array of record objects at the start of b
 // and returns the records and the number of bytes consumed. An empty
-// array yields an empty, non-nil slice.
+// array yields an empty, non-nil slice. A kind key is not a record
+// field here: it is skipped like any other unknown key.
 func (d *Decoder) Records(b []byte) ([]dataset.URLRecord, int, error) {
 	s := d.scan(b)
 	if err := s.expect('['); err != nil {
@@ -125,7 +114,7 @@ func (d *Decoder) Records(b []byte) ([]dataset.URLRecord, int, error) {
 	} else {
 		for more := true; more; {
 			batch = append(batch, dataset.URLRecord{})
-			if _, err := d.record(s, &batch[len(batch)-1]); err != nil {
+			if _, err := d.record(s, keys[:fKind], &batch[len(batch)-1]); err != nil {
 				return nil, 0, err
 			}
 			var err error
@@ -203,8 +192,9 @@ func Skip(b []byte) (int, error) {
 	return s.i, nil
 }
 
-// record decodes one record object at the scanner's position.
-func (d *Decoder) record(s *scanner, r *dataset.URLRecord) (kind string, err error) {
+// record decodes one record object at the scanner's position, matching
+// its keys against names, keys or its prefix without the kind.
+func (d *Decoder) record(s *scanner, names []string, r *dataset.URLRecord) (kind string, err error) {
 	if err := s.expect('{'); err != nil {
 		return "", err
 	}
@@ -214,7 +204,7 @@ func (d *Decoder) record(s *scanner, r *dataset.URLRecord) (kind string, err err
 	}
 	var n int64
 	for more, hint := true, 0; more; {
-		f, err := s.key(d.keys.names, hint)
+		f, err := s.key(names, hint)
 		if err != nil {
 			return "", err
 		}

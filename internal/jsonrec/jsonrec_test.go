@@ -3,28 +3,30 @@ package jsonrec
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// TestLineMatchesEncodingJSON decodes checkpoint-keyed records both
-// ways: inputs the decoder must accept yield exactly encoding/json's
-// record, and inputs it must reject are ones encoding/json rejects or
-// that no writer produces.
+// TestLineMatchesEncodingJSON decodes records both ways: inputs the
+// decoder must accept yield exactly encoding/json's record, and inputs
+// it must reject are ones encoding/json rejects or that no writer
+// produces. Go field names fold onto the tags, as in a checkpoint
+// written before the tags existed.
 func TestLineMatchesEncodingJSON(t *testing.T) {
 	accept := []string{
 		`{}`,
-		`{"URL":"https://a/\u00e9\ud83d\ude00\ud800x","Host":"h","IP":"10.0.0.1","ASN":-0,"Bytes":-9223372036854775808}`,
-		"{\"Org\":\"a\xffb\",\"RegCountry\":\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"}",
-		`{"url":"folded","ip":"::1","hTTPSValid":true,"\u0055RL":"escaped"}`,
-		`{"Extra":{"a":[1,2.5e-3,null,true,"x"]},"Depth":7,"Extra2":[]}`,
-		`{"IP":"","Category":3,"GovAS":false,"GovAS":true}`,
-		" { \"Host\" : \"h\" , \"Anycast\" : true } ",
+		`{"url":"https://a/\u00e9\ud83d\ude00\ud800x","host":"h","ip":"10.0.0.1","asn":-0,"bytes":-9223372036854775808}`,
+		"{\"org\":\"a\xffb\",\"regCountry\":\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"}",
+		`{"URL":"folded","IP":"::1","HTTPSValid":true,"RegCountry":"US","\u0055RL":"escaped"}`,
+		`{"extra":{"a":[1,2.5e-3,null,true,"x"]},"depth":7,"extra2":[]}`,
+		`{"ip":"","category":3,"govAS":false,"GovAS":true}`,
+		" { \"host\" : \"h\" , \"anycast\" : true } ",
 	}
 	for _, in := range accept {
 		var got, want dataset.URLRecord
-		if _, err := NewDecoder(CheckpointKeys).Line([]byte(in), &got); err != nil {
+		if _, err := NewDecoder().Line([]byte(in), &got); err != nil {
 			t.Errorf("%s: %v", in, err)
 			continue
 		}
@@ -38,26 +40,28 @@ func TestLineMatchesEncodingJSON(t *testing.T) {
 	}
 	reject := []string{
 		``, `[]`, `{`, `{"URL":"a"`, `{"URL":"a"}x`, "{\"URL\":\"a\"}\x00", `{"URL":"a",}`, `{"URL" "a"}`,
-		`{"URL":null}`, `{"Depth":01}`, `{"Depth":1.0}`, `{"Depth":1e3}`, `{"Depth":-}`,
-		`{"Bytes":9223372036854775808}`, `{"GovAS":tru}`, `{"GovAS":"true"}`,
-		`{"URL":"\x"}`, `{"URL":"\u12"}`, "{\"URL\":\"a\tb\"}", `{"IP":"1.2.3"}`,
+		`{"url":null}`, `{"depth":01}`, `{"depth":1.0}`, `{"depth":1e3}`, `{"depth":-}`,
+		`{"bytes":9223372036854775808}`, `{"govAS":tru}`, `{"govAS":"true"}`,
+		`{"url":"\x"}`, `{"url":"\u12"}`, "{\"url\":\"a\tb\"}", `{"ip":"1.2.3"}`, `{"kind":1}`,
 		`{"X":[1,]}`, `{"X":nul}`, `{"X":.5}`, `{"X":1.}`, `{"X":1e}`, `{"X":"a}`,
 	}
 	for _, in := range reject {
 		var got dataset.URLRecord
-		if _, err := NewDecoder(CheckpointKeys).Line([]byte(in), &got); err == nil {
+		if _, err := NewDecoder().Line([]byte(in), &got); err == nil {
 			t.Errorf("%q accepted", in)
 		}
 	}
 }
 
 func TestRecordsAndObject(t *testing.T) {
-	d := NewDecoder(CheckpointKeys)
+	d := NewDecoder()
 	recs, n, err := d.Records([]byte(`[] tail`))
 	if err != nil || n != 2 || recs == nil || len(recs) != 0 {
 		t.Fatalf("empty array: %v %d %v", recs, n, err)
 	}
-	recs, _, err = d.Records([]byte(`[{"Host":"a"},{"Host":"a","ASN":2}]`))
+	// A record in an array has no kind: the key is skipped, whatever
+	// its value, as encoding/json skips it.
+	recs, _, err = d.Records([]byte(`[{"host":"a","kind":1},{"Host":"a","asn":2}]`))
 	if err != nil || len(recs) != 2 || recs[1].ASN != 2 || recs[0].ASN != 0 {
 		t.Fatalf("records: %+v %v", recs, err)
 	}
@@ -77,19 +81,20 @@ func TestRecordsAndObject(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeysAreURLRecordFields: the checkpoint key table must
-// name dataset.URLRecord's fields in declaration order, or a field
-// added to the record would be skipped on resume.
-func TestCheckpointKeysAreURLRecordFields(t *testing.T) {
+// TestKeysAreURLRecordTags: the key table must be dataset.URLRecord's
+// json tag names in declaration order, then the export line's kind, or
+// a field added to the record would be skipped on load.
+func TestKeysAreURLRecordTags(t *testing.T) {
 	rt := reflect.TypeOf(dataset.URLRecord{})
-	var fields []string
+	var tags []string
 	for i := 0; i < rt.NumField(); i++ {
-		fields = append(fields, rt.Field(i).Name)
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		tags = append(tags, name)
 	}
-	if !reflect.DeepEqual(fields, CheckpointKeys.names) {
-		t.Fatalf("URLRecord fields %v, checkpoint keys %v", fields, CheckpointKeys.names)
+	if want := append(tags, "kind"); !reflect.DeepEqual(keys, want) {
+		t.Fatalf("key table %v, want URLRecord's tags then kind %v", keys, want)
 	}
-	if fKind != len(fields) || len(ExportKeys.names) != fKind+1 {
-		t.Fatalf("export key table is not one key per record field plus kind")
+	if fKind != rt.NumField() {
+		t.Fatalf("fKind = %d, want %d", fKind, rt.NumField())
 	}
 }

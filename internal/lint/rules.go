@@ -43,7 +43,7 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/har":        true,
 	"repro/internal/geo":        true,
 	"repro/internal/probing":    true, // verdicts and the verdict caches feed golden Table 4
-	"repro/internal/netsim":     true, // ping geometry memo must preserve bit-identical RTTs
+	"repro/internal/netsim":     true, // simulated RTTs feed the geolocation verdicts of golden Table 4
 	"repro/internal/tlssim":     true, // SAN lookups must not depend on the order certificates were put
 }
 

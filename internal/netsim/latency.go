@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net/netip"
-	"sync"
 
 	"repro/internal/world"
 )
@@ -21,8 +20,8 @@ import (
 //
 // Everything except the queue-jitter term is a pure function of
 // (vantage, addr) — host geometry, anycast-site selection, the
-// DistanceKM trig and the stable FNV hash — so it is computed once per
-// pair and memoized; each attempt folds only its jitter draw on top.
+// DistanceKM trig and the stable FNV hash — so each call computes it
+// once and folds only the attempts' jitter draws on top.
 func (n *Net) Ping(vantage string, addr netip.Addr, attempt int) (float64, bool) {
 	pb, ok := n.pingBaseFor(vantage, addr)
 	if !ok || !pb.icmp {
@@ -31,20 +30,16 @@ func (n *Net) Ping(vantage string, addr netip.Addr, attempt int) (float64, bool)
 	return pb.base + queueJitter(pb.stable, attempt), true
 }
 
-// MinPing returns the minimum RTT over k attempts (§3.5 sends three
-// pings and keeps the minimum), and false for unresponsive targets.
-func (n *Net) MinPing(vantage string, addr netip.Addr, k int) (float64, bool) {
-	return n.MinPingFrom(vantage, addr, k, 0)
-}
-
-// MinPingFrom is MinPing starting at attempt index base: distinct
-// bases draw distinct per-attempt jitter, which is how a probe
-// sequence (e.g. vantage validation's five probes) gets independent
-// yet reproducible measurements instead of five copies of one.
+// MinPingFrom returns the minimum RTT over k attempts (§3.5 sends
+// three pings and keeps the minimum) starting at attempt index base,
+// and false for unresponsive targets. Distinct bases draw distinct
+// per-attempt jitter, which is how a probe sequence (e.g. vantage
+// validation's five probes) gets independent yet reproducible
+// measurements instead of five copies of one.
 //
-// This is the probing hot path: the geometry base is fetched once and
-// only the per-attempt jitter varies inside the loop, so a 15-ping
-// probe fan costs one cache read plus 15 integer folds.
+// This is the probing hot path: the geometry base is computed once
+// and only the per-attempt jitter varies inside the loop, so a 15-ping
+// probe fan costs one geometry evaluation plus 15 integer folds.
 func (n *Net) MinPingFrom(vantage string, addr netip.Addr, k, base int) (float64, bool) {
 	if k <= 0 {
 		return 0, false
@@ -63,14 +58,11 @@ func (n *Net) MinPingFrom(vantage string, addr netip.Addr, k, base int) (float64
 }
 
 // pingBase is the attempt-independent half of a Ping from one vantage
-// to one address. Everything here is immutable once the target host
-// exists: Host fields never change after insertion and anycast
-// presence is fixed at Build time.
+// to one address.
 type pingBase struct {
 	// base is max(RTTForKM(dist), 0.15) + 0.3 + lastMile, accumulated
 	// in exactly that order — Go evaluates float addition left to
-	// right, and preserving the order keeps cached RTTs bit-identical
-	// to the formerly inline computation.
+	// right, and the order keeps every RTT bit-identical.
 	base float64
 	// stable is the FNV-1a state after hashing vantage+addr; the
 	// per-attempt queue jitter continues the hash from this state.
@@ -78,63 +70,9 @@ type pingBase struct {
 	icmp   bool
 }
 
-// pingShards spreads the memo across independently locked maps so the
-// many concurrent probe workers of a study don't serialize on one
-// mutex.
-const pingShards = 32
-
-// pingCache is the sharded (vantage, addr) → pingBase memo.
-type pingCache struct {
-	shards [pingShards]pingShard
-}
-
-type pingShard struct {
-	mu sync.RWMutex
-	m  map[pingKey]pingBase
-}
-
-type pingKey struct {
-	vantage string
-	addr    netip.Addr
-}
-
-func (pc *pingCache) shard(key pingKey) *pingShard {
-	b := key.addr.As4()
-	h := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	h ^= uint32(len(key.vantage))
-	if len(key.vantage) >= 2 {
-		h ^= uint32(key.vantage[0])<<8 | uint32(key.vantage[1])
-	}
-	return &pc.shards[h%pingShards]
-}
-
-func (pc *pingCache) load(key pingKey) (pingBase, bool) {
-	s := pc.shard(key)
-	s.mu.RLock()
-	pb, ok := s.m[key]
-	s.mu.RUnlock()
-	return pb, ok
-}
-
-func (pc *pingCache) store(key pingKey, pb pingBase) {
-	s := pc.shard(key)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[pingKey]pingBase)
-	}
-	s.m[key] = pb
-	s.mu.Unlock()
-}
-
-// pingBaseFor returns the memoized geometry for (vantage, addr),
-// computing and caching it on first use. An unknown address or vantage
-// is not cached negatively: hosts are created lazily (VPN egresses,
-// pooled endpoints), so "no host yet" must stay re-checkable.
+// pingBaseFor computes the geometry for (vantage, addr), and false
+// when either the address has no host or the vantage is unknown.
 func (n *Net) pingBaseFor(vantage string, addr netip.Addr) (pingBase, bool) {
-	key := pingKey{vantage: vantage, addr: addr}
-	if pb, ok := n.pingBases.load(key); ok {
-		return pb, true
-	}
 	h := n.Host(addr)
 	if h == nil {
 		return pingBase{}, false
@@ -154,33 +92,23 @@ func (n *Net) pingBaseFor(vantage string, addr netip.Addr) (pingBase, bool) {
 		}
 		dist := world.DistanceKM(v.Lat, v.Lon, lat, lon)
 		base := world.RTTForKM(dist)
-		j := jitter(vantage, addr, 0)
-		// Last-mile and serialization delay: 0.3–1.3 ms; the up-to-2 ms
-		// queueing term is folded per attempt by the callers.
-		pb.base = math.Max(base, 0.15) + 0.3 + j.lastMile
-		pb.stable = j.stable
+		pb.stable = pairHash(vantage, addr)
+		// Last-mile and serialization delay: 0.3–1.3 ms, stable per
+		// pair; the up-to-2 ms queueing term is folded per attempt by
+		// the callers.
+		pb.base = math.Max(base, 0.15) + 0.3 + float64(pb.stable%1000)/1000.0
 	}
-	n.pingBases.store(key, pb)
 	return pb, true
 }
 
-type pingJitter struct {
-	stable   uint64  // FNV-1a state over (vantage, addr)
-	lastMile float64 // 0..1 ms, stable per (vantage, addr)
-	queue    float64 // 0..2 ms, varies per attempt
-}
-
-func jitter(vantage string, addr netip.Addr, attempt int) pingJitter {
+// pairHash is the FNV-1a state over (vantage, addr): it fixes the
+// pair's last-mile delay, and each attempt's queue jitter continues it.
+func pairHash(vantage string, addr netip.Addr) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(vantage))
 	b := addr.As4()
 	h.Write(b[:])
-	stable := h.Sum64()
-	return pingJitter{
-		stable:   stable,
-		lastMile: float64(stable%1000) / 1000.0,
-		queue:    queueJitter(stable, attempt),
-	}
+	return h.Sum64()
 }
 
 // fnvPrime64 is the FNV-1a 64-bit prime, matching hash/fnv.
@@ -189,7 +117,8 @@ const fnvPrime64 = 1099511628211
 // queueJitter folds the four little-endian attempt bytes onto the
 // stable hash state, exactly as hash/fnv's Write would, and maps the
 // result to 0..2 ms. Continuing the incremental hash keeps every
-// per-attempt draw bit-identical to the pre-memoization code.
+// per-attempt draw bit-identical to hashing vantage, addr and attempt
+// in one pass.
 func queueJitter(stable uint64, attempt int) float64 {
 	var ab [4]byte
 	binary.LittleEndian.PutUint32(ab[:], uint32(attempt))

@@ -69,12 +69,6 @@ type Net struct {
 
 	corpAS  map[string]*AS
 	nextASN int
-
-	// pingBases memoizes the attempt-independent half of Ping per
-	// (vantage, addr): host geometry, anycast-site selection, the
-	// DistanceKM trig and the stable jitter hash (see latency.go). It
-	// is internally sharded and safe for concurrent probe workers.
-	pingBases pingCache
 }
 
 // Build constructs the synthetic Internet for the given world model

@@ -263,11 +263,11 @@ func TestPingBehaviour(t *testing.T) {
 	if h == nil {
 		t.Skip("no responsive host found")
 	}
-	rtt, ok := n.MinPing("DE", h.Addr, 3)
+	rtt, ok := n.MinPingFrom("DE", h.Addr, 3, 0)
 	if !ok {
 		t.Fatal("responsive host did not answer")
 	}
-	far, ok2 := n.MinPing("AU", h.Addr, 3)
+	far, ok2 := n.MinPingFrom("AU", h.Addr, 3, 0)
 	if !ok2 {
 		t.Fatal("ping from Australia failed")
 	}
@@ -293,7 +293,7 @@ func TestMinPingIsMinimum(t *testing.T) {
 	if h == nil {
 		t.Skip("no responsive host")
 	}
-	minRTT, _ := n.MinPing("FR", h.Addr, 5)
+	minRTT, _ := n.MinPingFrom("FR", h.Addr, 5, 0)
 	for i := 0; i < 5; i++ {
 		rtt, ok := n.Ping("FR", h.Addr, i)
 		if !ok {

@@ -72,7 +72,7 @@ func TestAgentMinProbeMatchesMinPing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _ := tw.net.MinPing("FR", target, 3)
+	direct, _ := tw.net.MinPingFrom("FR", target, 3, 0)
 	if math.Abs(overWire-direct) > 0.01 {
 		t.Fatalf("wire min %.3f != simulated min %.3f", overWire, direct)
 	}
