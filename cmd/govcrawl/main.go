@@ -99,16 +99,11 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	if len(landings) > 0 {
-		q := dnswire.NewQuery(1, hostOf(landings[0]), dnswire.TypeA)
-		resp, err := dnswire.Exchange(ctx, dnsAddr, q)
+		res, err := dnswire.LookupA(ctx, dnsAddr, hostOf(landings[0]))
 		if err != nil {
 			fatal(err)
 		}
-		for _, rr := range resp.Answers {
-			if rr.Type == dnswire.TypeA {
-				fmt.Fprintf(os.Stderr, "DNS: %s -> %s\n", hostOf(landings[0]), rr.A)
-			}
-		}
+		fmt.Fprintf(os.Stderr, "DNS: %s -> %s\n", hostOf(landings[0]), res.Addr)
 	}
 
 	// The real-socket fetcher rides the same fault/retry stack the

@@ -1,6 +1,6 @@
 // Command govprobe walks one hostname through the §3.4/§3.5
-// methodology entirely over real sockets: DNS resolution through the
-// caching stub resolver against a live UDP/TCP DNS server, a WHOIS
+// methodology entirely over real sockets: one DNS A lookup (CNAMEs
+// followed) against a live UDP/TCP DNS server, a WHOIS
 // lookup over the RFC 3912 TCP protocol, latency measurements through
 // the UDP measurement agent, and finally the geolocation verdict.
 //
@@ -74,8 +74,7 @@ func main() {
 	fmt.Printf("substrate: DNS %s | WHOIS %s | probe agent %s\n\n", dnsAddr, whoisAddr, agentAddr)
 
 	// Step 1: resolve over the wire (§3.4).
-	resolver := dnswire.NewResolver(dnsAddr)
-	res, err := resolver.LookupA(ctx, target)
+	res, err := dnswire.LookupA(ctx, dnsAddr, target)
 	if err != nil {
 		fatal(fmt.Errorf("resolve %s: %w", target, err))
 	}
@@ -118,12 +117,6 @@ func main() {
 	}
 	fmt.Printf("geolocation verdict: country=%q method=%s anycast=%v\n",
 		verdict.Country, verdict.Method, verdict.Anycast)
-
-	// Cache behaviour, for flavour.
-	if _, err := resolver.LookupA(ctx, target); err == nil {
-		st := resolver.Stats()
-		fmt.Printf("resolver cache: %d hits, %d misses\n", st.Hits, st.Misses)
-	}
 }
 
 func fatal(err error) {

@@ -231,20 +231,27 @@ this:
 
 ` + "`" + `` + "`" + `` + "`" + `console
 $ go run ./cmd/govlint ./...
-cmd/govprobe/main.go:78:14: determinism-taint: call to
-  dnswire.Resolver.LookupA transitively reads the wall clock or races
-  an ambient timer (main → dnswire.Resolver.LookupA →
-  dnswire.Resolver.clock → time.Now); deterministic packages must
-  derive all timing from injected values
+cmd/govcrawl/main.go:102:15: determinism-taint: call to
+  dnswire.LookupA transitively reads the wall clock or races an
+  ambient timer (main → dnswire.LookupA → dnswire.Exchange →
+  time.Now); deterministic packages must derive all timing from
+  injected values
+cmd/govprobe/main.go:77:14: determinism-taint: call to
+  dnswire.LookupA transitively reads the wall clock or races an
+  ambient timer (main → dnswire.LookupA → dnswire.Exchange →
+  time.Now); deterministic packages must derive all timing from
+  injected values
 ` + "`" + `` + "`" + `` + "`" + `
 
 Read the parenthesized chain right to left: ` + "`" + `time.Now` + "`" + ` is the
-forbidden source, ` + "`" + `dnswire.Resolver.clock` + "`" + ` is the helper that
-reaches it, ` + "`" + `LookupA` + "`" + ` is the call that carries it out of the package,
-and ` + "`" + `main` + "`" + ` (in a deterministic-tagged package) is the caller being
-flagged. The tree is clean because ` + "`" + `clock` + "`" + ` carries a barrier: it
-reads the wall clock only when no clock is injected. Delete that
-barrier and govlint prints the finding above. The fix is one of three, in order of preference: inject the
+forbidden source, ` + "`" + `dnswire.Exchange` + "`" + ` is the helper that reaches it,
+` + "`" + `LookupA` + "`" + ` is the call that carries it out of the package, and
+` + "`" + `main` + "`" + ` (in a deterministic-tagged package) is the caller being
+flagged, once per such caller. The tree is clean because
+` + "`" + `Exchange` + "`" + ` carries a barrier: it reads the wall clock only for a
+socket deadline when the context carries none, and the bytes it
+exchanges are clock-free. Delete that barrier and govlint prints the
+findings above. The fix is one of three, in order of preference: inject the
 value (pass a timestamp or a seeded generator down the chain), sort
 or sanitize the helper (for map-order chains), or — when the effect
 genuinely never reaches deterministic output — put

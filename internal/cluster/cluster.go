@@ -3,10 +3,11 @@
 // countries by their hosting-strategy signatures (Fig. 5). Merges are
 // found with the nearest-neighbor-chain algorithm — O(n²) over flat
 // arrays instead of the O(n³) global-minimum scan over a distance map
-// — and reported in the same order the global-minimum algorithm would
-// report them, so the dendrogram (structure, leaf order, cuts) is
-// unchanged. The result can be cut into k branches, and leaves are
-// returned in dendrogram order for display.
+// — and linked in the order the chain finds them, each node's children
+// oriented as the global-minimum algorithm would place them, so the
+// dendrogram (structure, leaf order, cuts) is unchanged. The result
+// can be cut into k branches, and leaves are returned in dendrogram
+// order for display.
 package cluster
 
 import (
@@ -168,52 +169,39 @@ func Ward(labels []string, points [][]float64) (*Node, error) {
 	return buildDendrogram(labels, merges), nil
 }
 
-// buildDendrogram replays the recorded merges in the order the
-// global-minimum algorithm reports them — ascending height (Ward
-// heights are monotone), ties by the lexicographically smallest pair
-// of replay-order cluster ids, a merge eligible only once both
-// children exist — and orients each node with the lower-id child on
-// the left. The chain discovers merges in its own order; this replay
-// restores the historical dendrogram order so leaf order, cuts and
-// rendered reports are unchanged.
+// buildDendrogram links the recorded merges in the order the chain
+// discovered them. Each node's children are oriented the way the
+// global-minimum algorithm numbers clusters, lower number on the left:
+// a leaf before a merge, leaves by input index, merges by height and
+// then by their smallest leaf index.
 func buildDendrogram(labels []string, merges []merge) *Node {
 	n := len(labels)
 	nodes := make([]*Node, n+len(merges)) // chain-cluster id → node
-	gid := make([]int, n+len(merges))     // chain-cluster id → replay id
+	first := make([]int, n+len(merges))   // chain-cluster id → smallest leaf index
 	for i := 0; i < n; i++ {
 		nodes[i] = &Node{Label: labels[i], Size: 1}
-		gid[i] = i
+		first[i] = i
 	}
-	done := make([]bool, len(merges))
-	next := n
-	for step := 0; step < len(merges); step++ {
-		bi, bl, br := -1, 0, 0
-		var bh float64
-		for m := range merges {
-			if done[m] || nodes[merges[m].left] == nil || nodes[merges[m].right] == nil {
-				continue
-			}
-			gl, gr := gid[merges[m].left], gid[merges[m].right]
-			if gr < gl {
-				gl, gr = gr, gl
-			}
-			h := merges[m].height
-			if bi < 0 || h < bh || (h == bh && (gl < bl || (gl == bl && gr < br))) {
-				bi, bh, bl, br = m, h, gl, gr
-			}
+	before := func(a, b int) bool {
+		na, nb := nodes[a], nodes[b]
+		if na.Leaf() != nb.Leaf() {
+			return na.Leaf()
 		}
-		mg := merges[bi]
-		left, right := nodes[mg.left], nodes[mg.right]
-		if gid[mg.right] < gid[mg.left] {
-			left, right = right, left
+		if na.Height != nb.Height {
+			return na.Height < nb.Height
 		}
-		id := n + bi
-		nodes[id] = &Node{Left: left, Right: right, Height: mg.height, Size: left.Size + right.Size}
-		gid[id] = next
-		next++
-		done[bi] = true
+		return first[a] < first[b]
 	}
-	return nodes[n+len(merges)-1]
+	for m, mg := range merges {
+		l, r := mg.left, mg.right
+		if before(r, l) {
+			l, r = r, l
+		}
+		id := n + m
+		nodes[id] = &Node{Left: nodes[l], Right: nodes[r], Height: mg.height, Size: nodes[l].Size + nodes[r].Size}
+		first[id] = min(first[l], first[r])
+	}
+	return nodes[len(nodes)-1]
 }
 
 // Cut slices the dendrogram into k clusters by repeatedly splitting

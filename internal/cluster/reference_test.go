@@ -195,7 +195,7 @@ func TestWardMatchesReferenceQuick(t *testing.T) {
 // TestWardMatchesReferenceTiedInputs pins the tie-prone integer grids
 // the semantic quick test generates: duplicate and collinear points
 // force exact distance ties, where the chain may legitimately discover
-// merges in a different order. The replay must still deliver a
+// merges in a different order. The linking must still deliver a
 // dendrogram whose cuts partition the leaves identically to the
 // reference's cuts at every k that separates cleanly.
 func TestWardMatchesReferenceTiedInputs(t *testing.T) {

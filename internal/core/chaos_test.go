@@ -420,7 +420,7 @@ func TestMetricsSnapshotInvariants(t *testing.T) {
 		if d.Cache.Lookups != d.Pipeline.Annotations {
 			t.Errorf("%s: %d cache lookups, %d annotations", profile, d.Cache.Lookups, d.Pipeline.Annotations)
 		}
-		if got := int64(env.resolutions.size()); d.Cache.Misses != got {
+		if got := int64(env.resolutions.memo.Len()); d.Cache.Misses != got {
 			t.Errorf("%s: %d misses but %d cached hostnames", profile, d.Cache.Misses, got)
 		}
 		if d.Cache.NegativeEntries > d.Cache.Misses || d.Cache.NegativeHits > d.Cache.Hits {

@@ -439,8 +439,8 @@ func TestAnnotateSharedNegativeCache(t *testing.T) {
 	if calls["broken.gub.uy"] != 1 {
 		t.Fatalf("failed host resolved %d times, want 1 (negative caching)", calls["broken.gub.uy"])
 	}
-	if env.resolutions.size() != 2 {
-		t.Fatalf("cache holds %d hostnames, want 2", env.resolutions.size())
+	if env.resolutions.memo.Len() != 2 {
+		t.Fatalf("cache holds %d hostnames, want 2", env.resolutions.memo.Len())
 	}
 }
 

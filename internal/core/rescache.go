@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/whois"
 )
 
@@ -20,8 +19,7 @@ type resolveFunc func(host string) (netip.Addr, whois.Record, error)
 // as negative entries — before this cache existed a bad hostname was
 // re-resolved on every URL that referenced it.
 type rescache struct {
-	mu sync.Mutex
-	m  map[string]*resEntry
+	memo sched.Memo[string, resolution]
 	// coalesced, when set, counts the lookups that waited on another
 	// worker's in-flight resolution — interleaving-dependent runtime
 	// data. The deterministic lookup/hit/miss/negative counts are not
@@ -29,54 +27,34 @@ type rescache struct {
 	coalesced *metrics.Counter
 }
 
-// resEntry is one hostname's outcome; once guarantees a single
-// resolution per hostname across all workers, positive or negative.
-// done flips after the resolution lands, so a later lookup can tell a
-// settled entry from one still in flight (a coalesce).
-type resEntry struct {
-	once sync.Once
-	done atomic.Bool
-	ip   netip.Addr
-	rec  whois.Record
-	err  error
+// resolution is one hostname's outcome, positive or negative.
+type resolution struct {
+	ip  netip.Addr
+	rec whois.Record
+	err error
 }
 
 func newRescache(coalesced *metrics.Counter) *rescache {
-	return &rescache{m: make(map[string]*resEntry), coalesced: coalesced}
+	return &rescache{coalesced: coalesced}
 }
 
 // resolve returns the cached outcome for host, performing the lookup
 // through fn exactly once per hostname. Concurrent callers for the
 // same hostname share one in-flight resolution.
 func (c *rescache) resolve(host string, fn resolveFunc) (netip.Addr, whois.Record, error) {
-	c.mu.Lock()
-	e := c.m[host]
-	created := e == nil
-	if created {
-		e = &resEntry{}
-		c.m[host] = e
-	}
-	c.mu.Unlock()
-	if !created && c.coalesced != nil && !e.done.Load() {
+	r, kind := c.memo.Do(host, func() resolution {
+		ip, rec, err := fn(host)
+		return resolution{ip, rec, err}
+	})
+	if kind == sched.Coalesced && c.coalesced != nil {
 		c.coalesced.Inc()
 	}
-	e.once.Do(func() {
-		e.ip, e.rec, e.err = fn(host)
-		e.done.Store(true)
-	})
-	return e.ip, e.rec, e.err
-}
-
-// size reports how many hostnames (positive or negative) are cached.
-func (c *rescache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	return r.ip, r.rec, r.err
 }
 
 // resolveAttempts bounds the per-hostname resolution attempt sequence
-// under DNS fault injection — the same shape dnswire.Resolver uses for
-// transient upstream failures.
+// under DNS fault injection: a transient SERVFAIL is retried, up to
+// this many attempts in all.
 const resolveAttempts = 3
 
 // faultyResolve wraps a resolveFunc with the plan's DNS faults: each

@@ -39,11 +39,12 @@ func TestRescacheSingleFlight(t *testing.T) {
 		}()
 	}
 	// Hold the single in-flight resolution until every other worker has
-	// arrived and registered as a coalesced hit, then let it finish.
+	// arrived and is waiting on it, then let it finish: each waiter
+	// must count as coalesced.
 	deadline := time.Now().Add(5 * time.Second)
-	for coalesced.Load() < workers-1 {
+	for c.memo.Waiting() < workers-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers coalesced", coalesced.Load(), workers-1)
+			t.Fatalf("only %d of %d workers coalesced", c.memo.Waiting(), workers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -53,7 +54,7 @@ func TestRescacheSingleFlight(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("resolver ran %d times, want 1 (single flight)", got)
 	}
-	if got := c.size(); got != 1 {
+	if got := c.memo.Len(); got != 1 {
 		t.Errorf("cache size = %d, want 1", got)
 	}
 
@@ -80,7 +81,7 @@ func TestRescacheNegativeCaching(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("resolver ran %d times, want 1 (negative entry cached)", calls)
 	}
-	if got := c.size(); got != 1 {
+	if got := c.memo.Len(); got != 1 {
 		t.Errorf("cache size = %d, want 1", got)
 	}
 }
@@ -102,7 +103,7 @@ func TestRescacheNilMetrics(t *testing.T) {
 	}); err == nil {
 		t.Fatal("negative entry lost without metrics")
 	}
-	if got := c.size(); got != 2 {
+	if got := c.memo.Len(); got != 2 {
 		t.Errorf("size = %d, want 2", got)
 	}
 }

@@ -216,6 +216,3 @@ func (z *Zones) Handler() dnswire.Handler {
 		return resp
 	})
 }
-
-// ReverseName exposes reverseName for clients issuing PTR queries.
-func ReverseName(addr netip.Addr) string { return reverseName(addr) }

@@ -104,7 +104,7 @@ func TestCNAMEChainLoopProtection(t *testing.T) {
 func TestReverseNameRoundTripQuick(t *testing.T) {
 	f := func(a, b, c, d byte) bool {
 		addr := netip.AddrFrom4([4]byte{a, b, c, d})
-		got, ok := parseReverse(ReverseName(addr))
+		got, ok := parseReverse(reverseName(addr))
 		return ok && got == addr
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -184,7 +184,7 @@ func TestHandlerOverUDP(t *testing.T) {
 		}
 	}
 	if ptrName != "" {
-		resp, err = dnswire.Exchange(ctx, addr, dnswire.NewQuery(9, ReverseName(ptrAddr), dnswire.TypePTR))
+		resp, err = dnswire.Exchange(ctx, addr, dnswire.NewQuery(9, reverseName(ptrAddr), dnswire.TypePTR))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 //   - Fetcher wraps any fetch.Fetcher with per-host faults: timeouts,
 //     connection resets, HTTP 5xx, truncated bodies, slow responses.
 //   - Plan.DNSFault injects SERVFAIL into hostname resolution (the
-//     core pipeline's resolver and dnswire.Resolver both consult it).
+//     core pipeline's resolver consults it on every attempt).
 //   - Plan.EgressFlap makes a vantage's VPN egress fail location
 //     validation, exercising the pipeline's bounded re-connection.
 //
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -171,16 +170,6 @@ func ParseProfile(spec string) (Profile, error) {
 		}
 	}
 	return p, nil
-}
-
-// ProfileNames lists the named profiles for usage strings.
-func ProfileNames() []string {
-	names := make([]string, 0, len(namedProfiles))
-	for n := range namedProfiles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Plan is a seeded fault plan: the deterministic oracle every

@@ -14,7 +14,7 @@ import (
 )
 
 func TestParseProfileNamed(t *testing.T) {
-	for _, name := range ProfileNames() {
+	for name := range namedProfiles {
 		p, err := ParseProfile(name)
 		if err != nil {
 			t.Fatalf("ParseProfile(%q): %v", name, err)

@@ -165,16 +165,6 @@ func (r *Runner) CheckDir(dir string) error {
 	return nil
 }
 
-// CheckModule runs every rule over every package of the module,
-// serially.
-func (r *Runner) CheckModule() error {
-	dirs, err := r.Loader.ModuleDirs()
-	if err != nil {
-		return err
-	}
-	return r.CheckDirs(dirs, 1)
-}
-
 // CheckDirs runs the per-package rules over every listed directory on
 // a team of workers goroutines (1 = serial). Findings are identical to
 // a serial run: the loader shares packages behind futures, every

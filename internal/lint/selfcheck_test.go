@@ -17,7 +17,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runner.CheckModule(); err != nil {
+	dirs, err := runner.Loader.ModuleDirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.CheckDirs(dirs, 1); err != nil {
 		t.Fatal(err)
 	}
 	if diags := runner.Diagnostics(); len(diags) > 0 {

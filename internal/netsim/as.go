@@ -46,9 +46,3 @@ type AS struct {
 	// ProviderKey links global-provider ASes to the catalogue entry.
 	ProviderKey string
 }
-
-// IsGovtSOE reports whether the AS is ground-truth government-operated
-// or a state-owned enterprise.
-func (a *AS) IsGovtSOE() bool {
-	return a.Kind == KindGovernment || a.Kind == KindSOE
-}

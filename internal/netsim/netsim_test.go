@@ -164,11 +164,12 @@ func TestHostKindsAndLocations(t *testing.T) {
 	n := buildNet(t)
 	r := rng.New(3, "kinds")
 	gov := n.GovHostFor("BR", false, "BR", r)
-	if !gov.AS.IsGovtSOE() || gov.Country != "BR" {
+	govtOrSOE := func(a *AS) bool { return a.Kind == KindGovernment || a.Kind == KindSOE }
+	if !govtOrSOE(gov.AS) || gov.Country != "BR" {
 		t.Errorf("gov host wrong: %+v", gov.AS)
 	}
 	soe := n.GovHostFor("BR", true, "BR", r)
-	if !soe.AS.IsGovtSOE() {
+	if !govtOrSOE(soe.AS) {
 		t.Errorf("SOE host not government-owned: %+v", soe.AS)
 	}
 	local := n.LocalHostFor("BR", r)

@@ -8,14 +8,13 @@ package probing
 
 import (
 	"net/netip"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dnssim"
 	"repro/internal/geo/ipinfo"
 	"repro/internal/geo/manycast"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/world"
 )
 
@@ -63,23 +62,12 @@ type Prober struct {
 	AnycastCoalesced *metrics.Counter
 
 	// Both caches are single-flight: the first goroutine to miss runs
-	// the probe sequence inside the entry's once while concurrent
-	// callers for the same key block on it instead of duplicating the
-	// measurement. Unicast verdicts are vantage-independent; anycast
-	// verification depends on the vantage, so that cache keys on both.
-	mu      sync.Mutex
-	unicast map[netip.Addr]*verdictEntry
-	anycast map[anycastKey]*verdictEntry
-}
-
-// verdictEntry is one cache key's outcome; once guarantees a single
-// probe sequence per key across all workers. done flips after the
-// verdict lands, so a later lookup can tell a settled entry from one
-// still in flight (a coalesce).
-type verdictEntry struct {
-	once sync.Once
-	done atomic.Bool
-	v    Verdict
+	// the probe sequence while concurrent callers for the same key wait
+	// for it instead of duplicating the measurement. Unicast verdicts
+	// are vantage-independent; anycast verification depends on the
+	// vantage, so that cache keys on both.
+	unicast sched.Memo[netip.Addr, Verdict]
+	anycast sched.Memo[anycastKey, Verdict]
 }
 
 type anycastKey struct {
@@ -89,9 +77,7 @@ type anycastKey struct {
 
 // New returns a Prober.
 func New(n *netsim.Net, w *world.Model, z *dnssim.Zones, db *ipinfo.DB, mc *manycast.Snapshot) *Prober {
-	return &Prober{Net: n, World: w, Zones: z, IPInfo: db, Anycast: mc,
-		unicast: make(map[netip.Addr]*verdictEntry),
-		anycast: make(map[anycastKey]*verdictEntry)}
+	return &Prober{Net: n, World: w, Zones: z, IPInfo: db, Anycast: mc}
 }
 
 // Threshold returns the per-country latency threshold: the intercity
@@ -145,21 +131,11 @@ func (m Method) Negative() bool {
 // functions of the seeded world, so they are cached per
 // (vantage, addr) with single-flight semantics.
 func (p *Prober) GeolocateAnycast(vantage *world.Country, addr netip.Addr) Verdict {
-	key := anycastKey{vantage: vantage.Code, addr: addr}
-	p.mu.Lock()
-	e := p.anycast[key]
-	created := e == nil
-	if created {
-		e = &verdictEntry{}
-		p.anycast[key] = e
-	}
-	p.mu.Unlock()
-	coalesce(p.AnycastCoalesced, e, created)
-	e.once.Do(func() {
-		e.v = p.geolocateAnycastUncached(vantage, addr)
-		e.done.Store(true)
+	v, kind := p.anycast.Do(anycastKey{vantage: vantage.Code, addr: addr}, func() Verdict {
+		return p.geolocateAnycastUncached(vantage, addr)
 	})
-	return e.v
+	coalesce(p.AnycastCoalesced, kind)
+	return v
 }
 
 func (p *Prober) geolocateAnycastUncached(vantage *world.Country, addr netip.Addr) Verdict {
@@ -179,11 +155,11 @@ func (p *Prober) geolocateAnycastUncached(vantage *world.Country, addr netip.Add
 	return v
 }
 
-// coalesce counts a non-creating lookup that arrived while the probe
-// sequence was still in flight — an interleaving artifact, reported on
-// the runtime side.
-func coalesce(c *metrics.Counter, e *verdictEntry, created bool) {
-	if c != nil && !created && !e.done.Load() {
+// coalesce counts a lookup that waited on another worker's in-flight
+// probe sequence — an interleaving artifact, reported on the runtime
+// side.
+func coalesce(c *metrics.Counter, kind sched.Lookup) {
+	if c != nil && kind == sched.Coalesced {
 		c.Inc()
 	}
 }
@@ -196,20 +172,9 @@ func coalesce(c *metrics.Counter, e *verdictEntry, created bool) {
 // single-flight entry guarantees one probe sequence — including the
 // panel-wide singleRadius sweep — per address across all workers.
 func (p *Prober) GeolocateUnicast(addr netip.Addr) Verdict {
-	p.mu.Lock()
-	e := p.unicast[addr]
-	created := e == nil
-	if created {
-		e = &verdictEntry{}
-		p.unicast[addr] = e
-	}
-	p.mu.Unlock()
-	coalesce(p.UnicastCoalesced, e, created)
-	e.once.Do(func() {
-		e.v = p.geolocateUnicastUncached(addr)
-		e.done.Store(true)
-	})
-	return e.v
+	v, kind := p.unicast.Do(addr, func() Verdict { return p.geolocateUnicastUncached(addr) })
+	coalesce(p.UnicastCoalesced, kind)
+	return v
 }
 
 func (p *Prober) geolocateUnicastUncached(addr netip.Addr) Verdict {

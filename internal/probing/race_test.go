@@ -58,7 +58,7 @@ func TestGeolocationCachesUnderRace(t *testing.T) {
 				t.Fatalf("goroutine %d saw different verdicts than goroutine 0", g)
 			}
 		}
-		return verdicts[0], len(tw.prober.unicast), len(tw.prober.anycast)
+		return verdicts[0], tw.prober.unicast.Len(), tw.prober.anycast.Len()
 	}
 
 	v1, u, a := run()

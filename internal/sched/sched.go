@@ -43,7 +43,6 @@ type Pool struct {
 type Budget struct {
 	remaining atomic.Int64
 	unlimited bool
-	used      atomic.Int64
 }
 
 // NewBudget builds a budget of n retry tokens; n < 0 means unlimited.
@@ -59,14 +58,12 @@ func (b *Budget) Acquire() bool {
 		return true
 	}
 	if b.unlimited {
-		b.used.Add(1)
 		return true
 	}
 	if b.remaining.Add(-1) < 0 {
 		b.remaining.Add(1) // leave the floor at zero for Remaining
 		return false
 	}
-	b.used.Add(1)
 	return true
 }
 
@@ -77,9 +74,6 @@ func (b *Budget) Remaining() int64 {
 	}
 	return b.remaining.Load()
 }
-
-// Used reports how many tokens were consumed.
-func (b *Budget) Used() int64 { return b.used.Load() }
 
 // SetRetryBudget attaches the study-wide retry budget. Call it before
 // sharing the pool; fetch stacks read it via RetryBudget.

@@ -6,6 +6,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // FuzzETagMatch holds the If-None-Match matcher to its laws on
@@ -130,8 +132,8 @@ func FuzzRender(f *testing.F) {
 		}
 		// The single-flight cache keeps every accepted country code;
 		// drop it now and then so a long run stays small.
-		if len(snap.cache) > 4096 {
-			snap.cache = map[string]*cacheEntry{}
+		if snap.cache.Len() > 4096 {
+			snap.cache = sched.Memo[string, response]{}
 		}
 	})
 }

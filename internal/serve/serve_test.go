@@ -248,28 +248,24 @@ func TestCacheCoalesceUnderStampede(t *testing.T) {
 	ep := endpointIndex["fig2"]
 	key := cacheKey("fig2", nil)
 
-	// Install the entry and start its fill, gated on release, exactly
-	// as the first requester would.
-	e := &cacheEntry{}
-	snap.mu.Lock()
-	snap.cache[key] = e
-	snap.mu.Unlock()
+	// Start the entry's fill, gated on release, exactly as the first
+	// requester would.
 	release := make(chan struct{})
-	entered := make(chan struct{})
 	var fill sync.WaitGroup
 	fill.Add(1)
 	go func() {
 		defer fill.Done()
-		e.once.Do(func() {
-			close(entered)
+		snap.cache.Do(key, func() response {
 			<-release
-			e.body, e.status = snap.renderFresh(ep, nil)
-			e.done.Store(true)
+			body, status := snap.renderFresh(ep, nil)
+			return response{body, status}
 		})
 	}()
-	// Only start the stampede once the gated fill owns the once —
-	// otherwise a requester could win it and fill ungated.
-	<-entered
+	// Only start the stampede once the gated fill owns the entry —
+	// otherwise a requester could create it and fill ungated.
+	for snap.cache.Len() == 0 {
+		runtime.Gosched()
+	}
 
 	const stampede = 10
 	var wg sync.WaitGroup
@@ -281,17 +277,19 @@ func TestCacheCoalesceUnderStampede(t *testing.T) {
 			bodies[i], _ = snap.respond("fig2", nil, &reg.Serve)
 		}(i)
 	}
-	// Hit accounting happens before a requester blocks on the
-	// in-flight fill; the fill cannot complete until release, so every
-	// recorded hit observed done == false. Wait for all of them, then
+	// The fill cannot complete until release, so every requester that
+	// reaches the cache first blocks on it. Wait for all of them, then
 	// let the fill finish.
-	for reg.Serve.CacheHits.Load() < stampede {
+	for snap.cache.Waiting() < stampede {
 		runtime.Gosched()
 	}
 	close(release)
 	fill.Wait()
 	wg.Wait()
 
+	if hits := reg.Serve.CacheHits.Load(); hits != stampede {
+		t.Fatalf("hits = %d, want %d", hits, stampede)
+	}
 	if co := reg.Serve.CacheCoalesced.Load(); co != stampede {
 		t.Fatalf("coalesced = %d, want %d", co, stampede)
 	}

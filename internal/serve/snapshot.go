@@ -13,8 +13,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
@@ -37,17 +35,11 @@ type Snapshot struct {
 	version string // first 12 hex chars of sha256 over the canonical JSONL export
 	desc    string // human-readable provenance ("jsonl:/path", "run:seed=42", ...)
 
-	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache sched.Memo[string, response]
 }
 
-// cacheEntry is a single-flight response slot, mirroring the probing
-// verdict cache: the first requester renders inside once while later
-// requesters block on it; done distinguishes a settled entry (plain
-// hit) from an in-flight one (coalesced hit).
-type cacheEntry struct {
-	once   sync.Once
-	done   atomic.Bool
+// response is one rendered endpoint call: body and HTTP status.
+type response struct {
 	body   []byte
 	status int
 }
@@ -76,7 +68,6 @@ func NewSnapshotWorkers(ds *dataset.Dataset, desc string, workers int) (*Snapsho
 		w:       world.New(),
 		version: v,
 		desc:    desc,
-		cache:   map[string]*cacheEntry{},
 	}, nil
 }
 
@@ -137,25 +128,16 @@ func (s *Snapshot) respond(name string, query url.Values, m *metrics.ServeMetric
 	}
 	key := cacheKey(name, params)
 
-	s.mu.Lock()
-	e := s.cache[key]
-	hit := e != nil
-	if !hit {
-		e = &cacheEntry{}
-		s.cache[key] = e
-	}
-	s.mu.Unlock()
-
-	if hit {
-		m.RecordCacheHit(!e.done.Load())
-	} else {
-		m.RecordCacheMiss()
-	}
-	e.once.Do(func() {
-		e.body, e.status = s.renderFresh(ep, params)
-		e.done.Store(true)
+	r, kind := s.cache.Do(key, func() response {
+		body, status := s.renderFresh(ep, params)
+		return response{body, status}
 	})
-	return e.body, e.status
+	if kind == sched.Miss {
+		m.RecordCacheMiss()
+	} else {
+		m.RecordCacheHit(kind == sched.Coalesced)
+	}
+	return r.body, r.status
 }
 
 // renderFresh computes an endpoint's response body from the index.

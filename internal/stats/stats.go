@@ -42,8 +42,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the sample variance (n-1 denominator).
-func Variance(xs []float64) float64 {
+// StdDev returns the sample standard deviation (n-1 denominator).
+func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -53,11 +53,8 @@ func Variance(xs []float64) float64 {
 		d := x - m
 		s += d * d
 	}
-	return s / float64(len(xs)-1)
+	return math.Sqrt(s / float64(len(xs)-1))
 }
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics.

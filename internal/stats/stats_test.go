@@ -50,10 +50,10 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := Variance(xs); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("variance = %v, want %v", got, 32.0/7)
+	if got := StdDev(xs); math.Abs(got*got-32.0/7) > 1e-12 {
+		t.Errorf("variance = %v, want %v", got*got, 32.0/7)
 	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
+	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Error("degenerate inputs mishandled")
 	}
 }

@@ -207,23 +207,6 @@ func (e *Estate) BuiltCountries() []string {
 	return out
 }
 
-// buildAll builds every country in panel order.
-func (e *Estate) buildAll() {
-	for _, c := range e.World.Panel() {
-		e.BuildCountry(c.Code)
-	}
-}
-
-// TotalPages counts pages across all sites, building every country.
-func (e *Estate) TotalPages() int {
-	e.buildAll()
-	n := 0
-	for _, s := range e.SiteList {
-		n += len(s.Pages)
-	}
-	return n
-}
-
 // addSite registers a site, panicking on hostname collisions: the
 // generator must produce a consistent web.
 func (e *Estate) addSite(s *Site) {

@@ -356,9 +356,26 @@ func TestMemFetcherGeoBlocking(t *testing.T) {
 func TestScaleControlsSize(t *testing.T) {
 	small := buildEstate(t, 0.02)
 	big := buildEstate(t, 0.05)
-	if big.TotalPages() <= small.TotalPages() {
-		t.Fatalf("scale has no effect: %d vs %d pages", small.TotalPages(), big.TotalPages())
+	if big.totalPages() <= small.totalPages() {
+		t.Fatalf("scale has no effect: %d vs %d pages", small.totalPages(), big.totalPages())
 	}
+}
+
+// buildAll builds every country in panel order.
+func (e *Estate) buildAll() {
+	for _, c := range e.World.Panel() {
+		e.BuildCountry(c.Code)
+	}
+}
+
+// totalPages counts pages across all sites, building every country.
+func (e *Estate) totalPages() int {
+	e.buildAll()
+	n := 0
+	for _, s := range e.SiteList {
+		n += len(s.Pages)
+	}
+	return n
 }
 
 func TestHTTPSValidityTracksDevelopment(t *testing.T) {
