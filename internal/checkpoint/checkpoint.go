@@ -36,7 +36,8 @@
 // in their canonical per-country order, and nothing wall-clock is
 // recorded.
 //
-// Files are written with encoding/json but read in a single pass: the
+// Files hold the bytes encoding/json would write, with the records
+// encoded by internal/jsonrec, and are read in a single pass: the
 // envelope is framed byte-for-byte as Put writes it — any other
 // spelling, even valid JSON with a matching checksum, is unparseable
 // and quarantined — the checksum is taken over the body in place, and
@@ -239,7 +240,11 @@ func Open(dir string, m Manifest, o Options) (*Store, *LoadResult, error) {
 		}
 		resumable = true
 	case os.IsNotExist(err):
-		if err := s.writeAtomic(manifestName, m); err != nil {
+		data, err := json.Marshal(m)
+		if err != nil {
+			return nil, nil, fmt.Errorf("checkpoint: manifest: %w", err)
+		}
+		if err := s.writeAtomic(manifestName, append(data, '\n')); err != nil {
 			return nil, nil, err
 		}
 	default:
@@ -470,41 +475,75 @@ func match(stored, want Manifest) error {
 	return nil
 }
 
-// envelope wraps a stored country with a content checksum, so load can
-// tell a truncated or bit-flipped file from real state.
-type envelope struct {
-	SHA256  string          `json:"sha256"`
-	Country json.RawMessage `json:"country"`
-}
-
-// Put persists one finished country atomically and durably.
+// Put persists one finished country atomically and durably. The file
+// is an envelope carrying the body's content checksum, so load can tell
+// a truncated or bit-flipped file from real state:
+//
+//	{"sha256":"<hex>","country":<body>}
+//
+// The body is the Country as json.Marshal writes it, built in one
+// buffer: the records through jsonrec.AppendRecord, the small fields
+// through encoding/json, and the envelope's bytes around them directly.
 func (s *Store) Put(c Country) error {
-	body, err := json.Marshal(c)
+	buf := make([]byte, 0, 512+300*len(c.Records))
+	buf = append(buf, envHead...)
+	sumAt := len(buf)
+	buf = append(buf, make([]byte, hexLen)...)
+	buf = append(buf, envMid...)
+	bodyAt := len(buf)
+	buf, err := appendCountry(buf, &c)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %s: %w", c.Code, err)
 	}
-	sum := sha256.Sum256(body)
-	return s.writeAtomic(c.Code+".json", envelope{
-		SHA256:  hex.EncodeToString(sum[:]),
-		Country: body,
-	})
+	sum := sha256.Sum256(buf[bodyAt:])
+	hex.Encode(buf[sumAt:], sum[:])
+	return s.writeAtomic(c.Code+".json", append(buf, envTail...))
 }
 
-// writeAtomic marshals v, fsyncs it into a slot-scoped temp file,
-// renames it into place, and fsyncs the directory — so a kill or power
-// loss at any point leaves either the previous state or the new one,
-// durably, never a torn file.
-func (s *Store) writeAtomic(name string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %w", name, err)
+// appendCountry appends c as json.Marshal writes it: the fields in
+// declaration order, the empty omitempty ones left out.
+func appendCountry(dst []byte, c *Country) ([]byte, error) {
+	field := func(dst []byte, key string, v any) ([]byte, error) {
+		b, err := json.Marshal(v)
+		return append(append(dst, key...), b...), err
 	}
+	dst, err := field(dst, `{"code":`, c.Code)
+	if err == nil {
+		dst, err = field(dst, `,"stats":`, c.Stats)
+	}
+	if err == nil && len(c.Methods) > 0 {
+		dst, err = field(dst, `,"methods":`, c.Methods)
+	}
+	if len(c.Records) > 0 {
+		dst = append(dst, `,"records":[`...)
+		for i := range c.Records {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(jsonrec.AppendRecord(dst, &c.Records[i]), '}')
+		}
+		dst = append(dst, ']')
+	}
+	if err == nil && len(c.FailedHosts) > 0 {
+		dst, err = field(dst, `,"failedHosts":`, c.FailedHosts)
+	}
+	if err == nil {
+		dst, err = field(dst, `,"tally":`, c.Tally)
+	}
+	return append(dst, '}'), err
+}
+
+// writeAtomic fsyncs data into a slot-scoped temp file, renames it
+// into place, and fsyncs the directory — so a kill or power loss at
+// any point leaves either the previous state or the new one, durably,
+// never a torn file.
+func (s *Store) writeAtomic(name string, data []byte) error {
 	tmp := filepath.Join(s.dir, name+s.tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
@@ -571,9 +610,8 @@ func (s *Store) loadAll() (*LoadResult, error) {
 	return res, nil
 }
 
-// The envelope framing exactly as Put writes it: encoding/json emits
-// the two envelope fields in declaration order with no whitespace, and
-// writeAtomic appends one newline.
+// The envelope framing exactly as Put writes it, ending in one
+// newline.
 const (
 	envHead = `{"sha256":"`
 	envMid  = `","country":`

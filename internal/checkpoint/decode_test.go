@@ -19,6 +19,26 @@ import (
 	"repro/internal/world"
 )
 
+// envelope is the encoding/json spelling of a country file: the
+// checksum and the body as raw JSON.
+type envelope struct {
+	SHA256  string          `json:"sha256"`
+	Country json.RawMessage `json:"country"`
+}
+
+// putReference is the file encoding/json writes for c: the Country
+// marshalled reflectively, sealed in a marshalled envelope, one
+// newline. It is the reference Put is held to byte for byte.
+func putReference(c Country) ([]byte, error) {
+	body, err := json.Marshal(c)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(body)
+	data, err := json.Marshal(envelope{SHA256: hex.EncodeToString(sum[:]), Country: body})
+	return append(data, '\n'), err
+}
+
 // decodeCountryReference is the encoding/json reading of a country
 // file: the envelope unmarshalled with the body as a RawMessage, the
 // checksum compared, then the body unmarshalled reflectively into
@@ -218,6 +238,40 @@ func TestFieldNamedFilesReencodeUnderTags(t *testing.T) {
 		}
 		if len(raw) >= len(old) {
 			t.Fatalf("%s: re-put file is %d bytes, not smaller than %d", name, len(raw), len(old))
+		}
+	}
+}
+
+// TestPutMatchesReference: Put writes the bytes the encoding/json path
+// writes, for every country the committed FuzzDecodeCountry corpus
+// holds and for records exercising every field and escape.
+func TestPutMatchesReference(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzDecodeCountry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	countries := []Country{testCountry("UY"), richCountry("MX"), {Code: "NG"}}
+	for _, e := range entries {
+		body := corpusFile(t, e.Name())
+		var env envelope
+		if json.Unmarshal(body, &env) == nil && env.Country != nil {
+			body = env.Country
+		}
+		var c Country
+		if json.Unmarshal(body, &c) == nil {
+			countries = append(countries, c)
+		}
+	}
+	if len(countries) < 10 {
+		t.Fatalf("only %d countries decoded from the corpus", len(countries))
+	}
+	for _, c := range countries {
+		want, err := putReference(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := storedBytes(t, c); string(got) != string(want) {
+			t.Errorf("%s: Put wrote\n%s\nencoding/json writes\n%s", c.Code, got, want)
 		}
 	}
 }

@@ -148,22 +148,33 @@ func SortRecords(recs []URLRecord) {
 	})
 }
 
-// FillTotals computes the Table 3 aggregate statistics from the
-// records and per-country stats, and sorts both record slices into
-// their canonical order. It resets every total before summing, so it
-// is idempotent: calling it again on a filled dataset changes nothing.
+// FillTotals sorts both record slices into their canonical order and
+// computes the Table 3 aggregate statistics from the records and
+// per-country stats. It resets every total before summing, so it is
+// idempotent: calling it again on a filled dataset changes nothing.
+//
+// Sorted, a host's records sit mostly side by side, so a record whose
+// serving tuple (host, IP, ASN, government AS, anycast, serving
+// country) equals the previous record's adds nothing to those sets and
+// skips them; only its URL is inserted.
 func (d *Dataset) FillTotals() {
+	SortRecords(d.Records)
+	SortRecords(d.Topsites)
+
 	hosts := map[string]bool{}
 	ips := map[netip.Addr]bool{}
 	anycastIPs := map[netip.Addr]bool{}
 	asns := map[int]bool{}
 	govASNs := map[int]bool{}
 	serveCountries := map[string]bool{}
-	urls := map[string]bool{}
+	urls := make(map[string]bool, len(d.Records))
 
 	for i := range d.Records {
 		r := &d.Records[i]
 		urls[r.URL] = true
+		if i > 0 && sameServing(r, &d.Records[i-1]) {
+			continue
+		}
 		hosts[r.Host] = true
 		ips[r.IP] = true
 		asns[r.ASN] = true
@@ -211,9 +222,13 @@ func (d *Dataset) FillTotals() {
 	d.ASes = len(asns)
 	d.GovASes = len(govASNs)
 	d.ServerCountries = len(serveCountries)
+}
 
-	SortRecords(d.Records)
-	SortRecords(d.Topsites)
+// sameServing reports whether two records share every field FillTotals
+// collects into its host, IP, ASN and serving-country sets.
+func sameServing(a, b *URLRecord) bool {
+	return a.Host == b.Host && a.IP == b.IP && a.ASN == b.ASN &&
+		a.GovAS == b.GovAS && a.Anycast == b.Anycast && a.ServeCountry == b.ServeCountry
 }
 
 // CountriesWithRecords returns the sorted country codes present in the

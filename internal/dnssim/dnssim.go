@@ -26,37 +26,21 @@ type Result struct {
 
 // Zones is the authoritative database.
 type Zones struct {
-	net    *netsim.Net
 	cname  map[string]string     // hostname → canonical name
 	a      map[string]netip.Addr // hostname → address
 	ptr    map[netip.Addr]string // address → PTR name
 	estate *webgen.Estate
-
-	// geodns maps hostnames of sites fronted by multi-DC unicast
-	// providers to their provider, enabling vantage-dependent replica
-	// selection (ResolveFrom).
-	geodns map[string]*netsim.Provider
 }
 
 // Build derives zones from the estate and the network.
 func Build(e *webgen.Estate, n *netsim.Net) *Zones {
 	z := &Zones{
-		net:    n,
 		cname:  make(map[string]string),
 		a:      make(map[string]netip.Addr),
 		ptr:    make(map[netip.Addr]string),
 		estate: e,
-		geodns: make(map[string]*netsim.Provider),
 	}
 	for _, s := range e.SiteList {
-		// GeoDNS applies to sites hosted at their provider's default
-		// (nearest) data centre; deliberately pinned placements (a
-		// Moroccan site parked in a French DC) resolve to their origin
-		// from everywhere, as contractual hosting does.
-		if p := s.Endpoint.Provider; p != nil && !p.Anycast && len(p.DCs) > 1 &&
-			s.Country != "" && s.Endpoint.Country == n.NearestDC(p, s.Country) {
-			z.geodns[s.Host] = p
-		}
 		if s.CNAME != "" {
 			z.cname[s.Host] = s.CNAME
 			z.a[s.CNAME] = s.Endpoint.Addr
@@ -95,35 +79,6 @@ func (z *Zones) Resolve(host string) (Result, error) {
 		cur = next
 	}
 	return res, fmt.Errorf("dnssim: CNAME chain too deep for %q", host)
-}
-
-// ResolveFrom resolves host as seen from a vantage country: sites on
-// multi-data-centre unicast providers answer with the replica nearest
-// the querier (GeoDNS / EDNS-client-subnet behaviour), everything else
-// resolves as Resolve does. This is why the paper insists on resolving
-// from within the studied country (§3.2, §3.4).
-func (z *Zones) ResolveFrom(vantage, host string) (Result, error) {
-	res, err := z.Resolve(host)
-	if err != nil {
-		return res, err
-	}
-	cur := strings.TrimSuffix(strings.ToLower(host), ".")
-	p, ok := z.geodns[cur]
-	if !ok {
-		// The queried name may be an alias of a GeoDNS-fronted site.
-		for _, c := range res.Chain {
-			if gp, ok2 := z.geodns[strings.TrimSuffix(strings.ToLower(c), ".")]; ok2 {
-				p, ok = gp, true
-				break
-			}
-		}
-	}
-	if !ok {
-		return res, nil
-	}
-	dc := z.net.NearestDC(p, vantage)
-	res.Addr = z.net.DCHost(p, dc).Addr
-	return res, nil
 }
 
 // CNAMEOf returns the direct canonical name of host, if any.

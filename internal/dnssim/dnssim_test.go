@@ -261,67 +261,3 @@ func TestParseZoneFileRejectsGarbage(t *testing.T) {
 		t.Fatalf("parsed zone does not resolve: %v %v", res, err)
 	}
 }
-
-func TestResolveFromGeoDNS(t *testing.T) {
-	z, estate := buildZones(t)
-	// Find a site on a multi-DC unicast provider hosted at its default
-	// (nearest) data centre.
-	var site *webgen.Site
-	for _, s := range estate.SiteList {
-		p := s.Endpoint.Provider
-		if p == nil || p.Anycast || len(p.DCs) < 3 || s.Country == "" {
-			continue
-		}
-		if s.Endpoint.Country == z.net.NearestDC(p, s.Country) {
-			site = s
-			break
-		}
-	}
-	if site == nil {
-		t.Skip("no GeoDNS-eligible site in sample")
-	}
-	p := site.Endpoint.Provider
-	home, err := z.ResolveFrom(site.Country, site.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := z.net.Host(home.Addr).Country; got != site.Endpoint.Country {
-		t.Fatalf("owner-vantage replica in %s, want %s", got, site.Endpoint.Country)
-	}
-	// A distant vantage must be steered to a different replica when the
-	// provider has a closer DC there.
-	for _, vantage := range []string{"JP", "AU", "SG", "US", "DE"} {
-		want := z.net.NearestDC(p, vantage)
-		if want == site.Endpoint.Country {
-			continue
-		}
-		far, err := z.ResolveFrom(vantage, site.Host)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if far.Addr == home.Addr {
-			t.Fatalf("vantage %s got the same replica as the owner despite DC %s being closer", vantage, want)
-		}
-		if got := z.net.Host(far.Addr).Country; got != want {
-			t.Fatalf("vantage %s steered to %s, want %s", vantage, got, want)
-		}
-		return
-	}
-	t.Skip("provider footprint too small to diverge")
-}
-
-func TestResolveFromPlainSitesUnaffected(t *testing.T) {
-	z, estate := buildZones(t)
-	for _, s := range estate.GovSites("UY") {
-		if s.Endpoint.Provider != nil {
-			continue
-		}
-		a, err1 := z.Resolve(s.Host)
-		b, err2 := z.ResolveFrom("JP", s.Host)
-		if err1 != nil || err2 != nil || a.Addr != b.Addr {
-			t.Fatalf("non-provider site resolution changed across vantages: %v/%v %v/%v", a, err1, b, err2)
-		}
-		return
-	}
-	t.Skip("no non-provider Uruguayan site")
-}

@@ -10,9 +10,7 @@ import (
 	"time"
 )
 
-// Handler produces a response for a query. The remote address is the
-// client's address, which vantage-aware resolvers use for GeoDNS-style
-// answers.
+// Handler produces a response for a query from the client at remote.
 type Handler interface {
 	ServeDNS(q *Message, remote net.Addr) *Message
 }

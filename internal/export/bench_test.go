@@ -3,7 +3,10 @@ package export_test
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -85,5 +88,63 @@ func TestReadJSONLAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { readAll(t, data) })
 	if per := allocs / float64(records); per > 2 {
 		t.Fatalf("export load allocates %.2f objects per record (%.0f over %d records), budget 2", per, allocs, records)
+	}
+}
+
+// allocatedBytes returns the bytes fn allocates on the heap.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadJSONLSizedLoad: loading from a reader that can be read at an
+// offset allocates the record slices once, at their final size, so a
+// load costs each record about its own size plus its URL, with no
+// slice regrowth on top.
+func TestReadJSONLSizedLoad(t *testing.T) {
+	data := studyExport(t)
+	var ds *dataset.Dataset
+	total := allocatedBytes(func() {
+		var err error
+		if ds, err = export.ReadJSONL(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cap(ds.Records) != len(ds.Records) || cap(ds.Topsites) != len(ds.Topsites) {
+		t.Fatalf("record slices have slack: %d/%d records, %d/%d topsites",
+			len(ds.Records), cap(ds.Records), len(ds.Topsites), cap(ds.Topsites))
+	}
+	n := len(ds.Records) + len(ds.Topsites)
+	var urlBytes int
+	for _, recs := range [][]dataset.URLRecord{ds.Records, ds.Topsites} {
+		for i := range recs {
+			urlBytes += len(recs[i].URL)
+		}
+	}
+	perRecord := float64(total) / float64(n)
+	budget := 1.2 * (float64(unsafe.Sizeof(dataset.URLRecord{})) + float64(urlBytes)/float64(n))
+	t.Logf("%.0f bytes per record, budget %.0f", perRecord, budget)
+	if perRecord > budget {
+		t.Fatalf("export load allocates %.0f bytes per record, budget %.0f", perRecord, budget)
+	}
+}
+
+// TestReadJSONLLyingTrailer: a short input whose trailer claims 1<<40
+// records is refused as truncated, and the claim does not size an
+// allocation beyond what the input's length allows.
+func TestReadJSONLLyingTrailer(t *testing.T) {
+	in := `{"format":"govhost-dataset","version":3}` + "\n" +
+		strings.Repeat(`{"url":"https://gob.uy/","ip":"10.0.0.1","kind":"gov"}`+"\n", 3) +
+		`{"kind":"trailer","records":1099511627776,"topsites":1099511627776,"countries":0}` + "\n"
+	var err error
+	total := allocatedBytes(func() { _, err = export.ReadJSONL(strings.NewReader(in)) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("lying trailer: err = %v", err)
+	}
+	if total > 256<<10 {
+		t.Fatalf("a %d-byte input allocated %d bytes", len(in), total)
 	}
 }

@@ -16,6 +16,7 @@ package export
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -54,13 +55,6 @@ type trailer struct {
 	Countries int    `json:"countries"`
 }
 
-// recordLine is a record's line: the record's own json fields, then
-// the line's kind, "gov" or "topsite".
-type recordLine struct {
-	*dataset.URLRecord
-	Kind string `json:"kind"`
-}
-
 // countryLine is a country's coverage-statistics line: the kind
 // "country", then the row's own json fields.
 type countryLine struct {
@@ -73,6 +67,9 @@ type countryLine struct {
 // coverage-statistics object per country in sorted code order, and
 // the trailer with the counts a reader checks. Output is a pure
 // function of the dataset, so equal datasets serialise to equal bytes.
+// A record line is the record's own json fields, then the line's kind,
+// "gov" or "topsite", encoded by jsonrec.AppendRecord into one reused
+// buffer; the few other lines go through encoding/json.
 func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -82,14 +79,16 @@ func WriteJSONL(w io.Writer, ds *dataset.Dataset) error {
 	}); err != nil {
 		return err
 	}
-	for i := range ds.Records {
-		if err := enc.Encode(recordLine{&ds.Records[i], "gov"}); err != nil {
-			return err
-		}
-	}
-	for i := range ds.Topsites {
-		if err := enc.Encode(recordLine{&ds.Topsites[i], "topsite"}); err != nil {
-			return err
+	var line []byte
+	for _, part := range [...]struct {
+		recs []dataset.URLRecord
+		tail string
+	}{{ds.Records, `,"kind":"gov"}` + "\n"}, {ds.Topsites, `,"kind":"topsite"}` + "\n"}} {
+		for i := range part.recs {
+			line = append(jsonrec.AppendRecord(line[:0], &part.recs[i]), part.tail...)
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
 		}
 	}
 	codes := make([]string, 0, len(ds.PerCountry))
@@ -132,7 +131,16 @@ func (e *LineError) Unwrap() error { return e.Err }
 // header, country and trailer lines go through encoding/json. A
 // malformed line, including a header of any version other than
 // FormatVersion, is reported as a *LineError.
+//
+// When r can also be read at an offset and sought (an *os.File, a
+// bytes.Reader, a strings.Reader), the record slices are allocated
+// once, sized by the trailer's counts read from the end of the input;
+// any other reader grows them as lines arrive.
 func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
+	nrec, ntop, err := sizeHint(r)
+	if err != nil {
+		return nil, fmt.Errorf("export: %w", err)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLine)
 	line := 1
@@ -156,6 +164,12 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 	ds := &dataset.Dataset{
 		Seed: h.Seed, Scale: h.Scale,
 		PerCountry: map[string]*dataset.CountryStats{},
+	}
+	if nrec > 0 {
+		ds.Records = make([]dataset.URLRecord, 0, nrec)
+	}
+	if ntop > 0 {
+		ds.Topsites = make([]dataset.URLRecord, 0, ntop)
 	}
 	dec := jsonrec.NewDecoder()
 	var tr *trailer
@@ -222,6 +236,54 @@ func ReadJSONL(r io.Reader) (*dataset.Dataset, error) {
 			len(ds.PerCountry), tr.Countries)
 	}
 	return ds, nil
+}
+
+// minRecordLine is the length of the shortest record line ReadJSONL
+// accepts, {"ip":"::","kind":"gov"} and its newline: an input of n
+// bytes holds at most n/minRecordLine records.
+const minRecordLine = len(`{"ip":"::","kind":"gov"}`) + 1
+
+// sizeHint returns the record and topsite counts of the trailer at the
+// end of r, when r can be read at an offset and sought, leaving r's
+// offset where it was. Their sum is capped at the record lines the
+// input's size can hold, so a lying trailer cannot force a large
+// allocation. Any other reader, or an input whose last line is not a
+// trailer, gets (0, 0). The counts only size allocations: the trailer
+// is still validated as the last line.
+func sizeHint(r io.Reader) (records, topsites int, err error) {
+	rs, ok := r.(interface {
+		io.ReaderAt
+		io.Seeker
+	})
+	if !ok {
+		return 0, 0, nil
+	}
+	start, err := rs.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, 0, nil
+	}
+	end, err := rs.Seek(0, io.SeekEnd)
+	if _, serr := rs.Seek(start, io.SeekStart); serr != nil {
+		return 0, 0, serr
+	}
+	if err != nil || end <= start {
+		return 0, 0, nil
+	}
+	var buf [256]byte
+	tail := buf[:min(int64(len(buf)), end-start)]
+	if n, _ := rs.ReadAt(tail, end-int64(len(tail))); n != len(tail) {
+		return 0, 0, nil
+	}
+	tail = bytes.TrimSuffix(tail, []byte("\n"))
+	i := bytes.LastIndexByte(tail, '\n')
+	var t trailer
+	if i < 0 || json.Unmarshal(tail[i+1:], &t) != nil || t.Kind != "trailer" {
+		return 0, 0, nil
+	}
+	limit := int((end - start) / int64(minRecordLine))
+	records = min(max(t.Records, 0), limit)
+	topsites = min(max(t.Topsite, 0), limit-records)
+	return records, topsites, nil
 }
 
 // csvHeader is the column layout of the CSV export.

@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"errors"
 	"net/netip"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/world"
 )
@@ -261,5 +263,31 @@ func TestReadJSONLRejectsContentAfterTrailer(t *testing.T) {
 	_, err := ReadJSONL(&buf)
 	if err == nil || !strings.Contains(err.Error(), "after trailer") {
 		t.Fatalf("content after trailer: err = %v", err)
+	}
+}
+
+// TestWriteJSONLMatchesReference: WriteJSONL writes exactly the bytes
+// encoding/json writes, for a study's export and for records whose
+// strings need every kind of escape.
+func TestWriteJSONLMatchesReference(t *testing.T) {
+	study, err := core.NewEnv(core.Config{Seed: 42, Scale: 0.01}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	escapes := sampleDataset()
+	r := &escapes.Records[0]
+	r.URL = "https://gob.uy/q?a=<b>&c=\"d\"\\\x00\x7f\xff\u2028\u2029é"
+	r.Org, r.Method, r.IP = "Org\tline\nbreak\b\f\r", "", netip.MustParseAddr("fe80::1%eth0")
+	for _, ds := range []*dataset.Dataset{study, statsDataset(), escapes} {
+		var got, want bytes.Buffer
+		if err := WriteJSONL(&got, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeJSONLReference(&want, ds); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSONL differs from encoding/json (%d vs %d bytes)", got.Len(), want.Len())
+		}
 	}
 }

@@ -119,8 +119,9 @@ var agreeingRecords = map[string]string{
 
 // FuzzReadJSONL holds the single-pass reader to the encoding/json
 // reference: no input panics; whatever ReadJSONL accepts, the
-// reference accepts with an identical dataset; and every accepted
-// dataset survives WriteJSONL → ReadJSONL unchanged. The committed
+// reference accepts with an identical dataset; every accepted dataset
+// is written by WriteJSONL exactly as encoding/json writes it, and
+// survives WriteJSONL → ReadJSONL unchanged. The committed
 // corpus holds real WriteJSONL output and its truncations.
 func FuzzReadJSONL(f *testing.F) {
 	for _, rec := range agreeingRecords {
@@ -138,9 +139,15 @@ func FuzzReadJSONL(f *testing.F) {
 		if !reflect.DeepEqual(ds, ref) {
 			t.Fatalf("decoded dataset differs from the reference:\n got %+v\nwant %+v", ds, ref)
 		}
-		var buf bytes.Buffer
+		var buf, want bytes.Buffer
 		if err := WriteJSONL(&buf, ds); err != nil {
 			t.Fatal(err)
+		}
+		if err := writeJSONLReference(&want, ds); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSONL differs from encoding/json:\n got %s\nwant %s", buf.Bytes(), want.Bytes())
 		}
 		again, err := ReadJSONL(&buf)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/world"
@@ -115,4 +116,47 @@ func referenceRecord(line []byte) (dataset.URLRecord, error) {
 		return dataset.URLRecord{}, fmt.Errorf("export: record %q: bad category %d", rec.URL, rec.Category)
 	}
 	return rec, nil
+}
+
+// recordLine is a record line as encoding/json writes it: the record's
+// own json fields, then the line's kind.
+type recordLine struct {
+	*dataset.URLRecord
+	Kind string `json:"kind"`
+}
+
+// writeJSONLReference is WriteJSONL with every line, record lines
+// included, encoded reflectively by encoding/json. It is the reference
+// WriteJSONL's record encoder is held to byte for byte.
+func writeJSONLReference(w io.Writer, ds *dataset.Dataset) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(header{
+		Format: "govhost-dataset", Version: FormatVersion,
+		Seed: ds.Seed, Scale: ds.Scale,
+	}); err != nil {
+		return err
+	}
+	for i := range ds.Records {
+		if err := enc.Encode(recordLine{&ds.Records[i], "gov"}); err != nil {
+			return err
+		}
+	}
+	for i := range ds.Topsites {
+		if err := enc.Encode(recordLine{&ds.Topsites[i], "topsite"}); err != nil {
+			return err
+		}
+	}
+	codes := make([]string, 0, len(ds.PerCountry))
+	for code := range ds.PerCountry {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	for _, code := range codes {
+		if err := enc.Encode(countryLine{"country", ds.PerCountry[code]}); err != nil {
+			return err
+		}
+	}
+	return enc.Encode(trailer{
+		Kind: "trailer", Records: len(ds.Records), Topsite: len(ds.Topsites), Countries: len(codes),
+	})
 }

@@ -2,11 +2,13 @@ package jsonrec
 
 import (
 	"encoding/json"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/world"
 )
 
 // TestLineMatchesEncodingJSON decodes records both ways: inputs the
@@ -96,5 +98,54 @@ func TestKeysAreURLRecordTags(t *testing.T) {
 	}
 	if fKind != rt.NumField() {
 		t.Fatalf("fKind = %d, want %d", fKind, rt.NumField())
+	}
+}
+
+// FuzzAppendRecord holds AppendRecord to encoding/json: for any field
+// values, and IPv4, IPv6, zoned and zero addresses, its bytes closed
+// by a brace are exactly json.Marshal's. The committed corpus covers
+// <, > and &, control bytes, invalid UTF-8, U+2028 and U+2029, and
+// zones that need escaping.
+func FuzzAppendRecord(f *testing.F) {
+	f.Add("https://gob.uy/a?b=1&c=<d>", "gob.uy", "Org \"Q\"\\", "UY", int64(-7), uint8(0xff), []byte{10, 0, 0, 1}, "")
+	f.Fuzz(func(t *testing.T, url, host, org, other string, n int64, flags uint8, ip []byte, zone string) {
+		r := dataset.URLRecord{
+			URL: url, Host: host, Country: other, Region: world.Region(other),
+			Bytes: n, Depth: int(n >> 3), ASN: int(int32(n)), Org: org, RegCountry: other,
+			GovAS: flags&1 != 0, Anycast: flags&2 != 0, TopsiteSelf: flags&4 != 0,
+			HTTPSValid: flags&8 != 0, Category: world.Category(int8(n)),
+		}
+		if flags&16 != 0 {
+			r.Method = other
+		}
+		if flags&32 != 0 {
+			r.ServeCountry = host
+		}
+		if flags&64 != 0 {
+			r.GeoMethod = org
+		}
+		switch len(ip) {
+		case 4:
+			r.IP = netip.AddrFrom4([4]byte(ip))
+		case 16:
+			r.IP = netip.AddrFrom16([16]byte(ip)).WithZone(zone)
+		}
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := append(AppendRecord(nil, &r), '}'); string(got) != string(want) {
+			t.Fatalf("AppendRecord wrote\n%s\njson.Marshal writes\n%s", got, want)
+		}
+	})
+}
+
+// TestAppendRecordAllocates: encoding into a buffer with room
+// allocates nothing.
+func TestAppendRecordAllocates(t *testing.T) {
+	r := dataset.URLRecord{URL: "https://gob.uy/<p>\u2028\xff", Host: "gob.uy", IP: netip.MustParseAddr("2001:db8::1"), Method: "tld", GovAS: true}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { AppendRecord(buf[:0], &r) }); n != 0 {
+		t.Fatalf("AppendRecord allocates %.0f times", n)
 	}
 }

@@ -254,31 +254,6 @@ func (n *Net) nearestDC(p *Provider, vantage string) string {
 	return best
 }
 
-// DCHost returns (creating deterministically on first use) the head of
-// the provider's host pool at the given data-centre country. GeoDNS
-// resolution uses it so that every vantage maps to a stable replica
-// address.
-func (n *Net) DCHost(p *Provider, dc string) *Host {
-	key := fmt.Sprintf("dc|%s|%s", p.Key, dc)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if pool := n.pool[key]; len(pool) > 0 {
-		return pool[0]
-	}
-	r := rng.New(n.Seed, "dchost/"+key)
-	h := n.newHost(n.providerAS[p.Key], dc, false, p, r)
-	n.pool[key] = append(n.pool[key], h)
-	return h
-}
-
-// NearestDC exposes the provider's closest data centre to a country.
-func (n *Net) NearestDC(p *Provider, country string) string {
-	if p.HasDC(country) {
-		return country
-	}
-	return n.nearestDC(p, country)
-}
-
 // ProvidersWithDC returns the non-anycast global providers operating a
 // unicast data centre in the country, in catalogue order.
 func (n *Net) ProvidersWithDC(country string) []*Provider {

@@ -379,27 +379,6 @@ func addrBytes(a netip.Addr) []byte {
 	return b[:]
 }
 
-// ASForAddr returns the AS owning the address, or nil — this is the
-// ground-truth routing table the WHOIS/geolocation databases are
-// derived from.
-func (n *Net) ASForAddr(addr netip.Addr) *AS {
-	if !addr.Is4() {
-		return nil
-	}
-	v := binary.BigEndian.Uint32(addrBytes(addr))
-	base := binary.BigEndian.Uint32(addrBytes(baseIP))
-	if v < base {
-		return nil
-	}
-	idx := int((v - base) / 65536)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if idx >= len(n.blockToAS) {
-		return nil
-	}
-	return n.blockToAS[idx]
-}
-
 // AllocatedPrefix is one /16 block and its owning AS.
 type AllocatedPrefix struct {
 	Prefix netip.Prefix

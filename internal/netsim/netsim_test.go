@@ -124,24 +124,6 @@ func TestCloudflareAdoptionLeads(t *testing.T) {
 	}
 }
 
-func TestASForAddrRoundTrip(t *testing.T) {
-	n := buildNet(t)
-	r := rng.New(1, "test-hosts")
-	for _, country := range []string{"UY", "DE", "JP"} {
-		h := n.LocalHostFor(country, r)
-		as := n.ASForAddr(h.Addr)
-		if as == nil || as != h.AS {
-			t.Fatalf("ASForAddr(%v) = %v, want %v", h.Addr, as, h.AS)
-		}
-	}
-	if n.ASForAddr(netip.MustParseAddr("8.8.8.8")) != nil {
-		t.Fatal("address outside the allocation must map to no AS")
-	}
-	if n.ASForAddr(netip.MustParseAddr("2001:db8::1")) != nil {
-		t.Fatal("IPv6 must map to no AS")
-	}
-}
-
 func TestAllocatedPrefixesCoverHosts(t *testing.T) {
 	n := buildNet(t)
 	r := rng.New(2, "alloc")
@@ -410,30 +392,19 @@ func TestProvidersWithDC(t *testing.T) {
 	}
 }
 
+// TestNearestDC: a provider's placement falls back to its data centre
+// closest to the country (ProviderHostFor, ProviderHostAt).
 func TestNearestDC(t *testing.T) {
 	n := buildNet(t)
 	hz := n.Provider("hetzner") // DCs: DE, FI, US
-	if got := n.NearestDC(hz, "DE"); got != "DE" {
-		t.Errorf("NearestDC from DE = %s", got)
+	if got := n.nearestDC(hz, "DE"); got != "DE" {
+		t.Errorf("nearestDC from DE = %s", got)
 	}
-	if got := n.NearestDC(hz, "PL"); got != "DE" {
-		t.Errorf("NearestDC from PL = %s, want DE", got)
+	if got := n.nearestDC(hz, "PL"); got != "DE" {
+		t.Errorf("nearestDC from PL = %s, want DE", got)
 	}
-	if got := n.NearestDC(hz, "MX"); got != "US" {
-		t.Errorf("NearestDC from MX = %s, want US", got)
-	}
-}
-
-func TestDCHostDeterministic(t *testing.T) {
-	a := buildNet(t)
-	b := buildNet(t)
-	hz := a.Provider("hetzner")
-	if a.DCHost(hz, "FI").Addr != b.DCHost(b.Provider("hetzner"), "FI").Addr {
-		t.Fatal("DCHost differs across identical builds")
-	}
-	// Within one net, repeated calls return the same head.
-	if a.DCHost(hz, "FI") != a.DCHost(hz, "FI") {
-		t.Fatal("DCHost not stable")
+	if got := n.nearestDC(hz, "MX"); got != "US" {
+		t.Errorf("nearestDC from MX = %s, want US", got)
 	}
 }
 
@@ -464,7 +435,6 @@ func TestConcurrentHostCreationAndPing(t *testing.T) {
 					h = n.ProviderHostFor(n.Providers[i%len(n.Providers)], c, r)
 				}
 				n.Ping(c, h.Addr, i)
-				n.ASForAddr(h.Addr)
 				n.Host(h.Addr)
 			}
 		}(w)

@@ -132,9 +132,14 @@ func (a *Agent) serve(conn *net.UDPConn) {
 // ErrNoReply reports an unanswered probe.
 var ErrNoReply = errors.New("probing: no reply from agent")
 
+// probeTimeout bounds one echo request: a silent target answers
+// nothing, so its probe ends at the earlier of this and the context's
+// deadline.
+const probeTimeout = 3 * time.Second
+
 // ProbeOnce sends one echo request through the agent and returns the
 // simulated RTT in milliseconds, or ErrNoReply when the target is
-// ICMP-silent.
+// ICMP-silent or the wait exceeds probeTimeout.
 func ProbeOnce(ctx context.Context, agentAddr, vantageCC string, target netip.Addr, attempt int, nonce uint64) (float64, error) {
 	if len(vantageCC) != 2 {
 		return 0, fmt.Errorf("probing: bad vantage country %q", vantageCC)
@@ -148,12 +153,12 @@ func ProbeOnce(ctx context.Context, agentAddr, vantageCC string, target netip.Ad
 		return 0, err
 	}
 	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	} else {
-		//lint:ignore nondeterminism -- socket deadline fallback for the live-socket probe path; timeouts surface as ErrNoReply, never as dataset bytes
-		conn.SetDeadline(time.Now().Add(3 * time.Second))
+	//lint:ignore nondeterminism -- socket deadline for the live-socket probe path; timeouts surface as ErrNoReply, never as dataset bytes
+	dl := time.Now().Add(probeTimeout)
+	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
+		dl = cdl
 	}
+	conn.SetDeadline(dl)
 	req := make([]byte, agentReqLen)
 	req[0], req[1] = 'G', 'P'
 	binary.BigEndian.PutUint16(req[2:4], uint16(attempt))

@@ -99,6 +99,33 @@ func TestAgentSilentForUnresponsiveTargets(t *testing.T) {
 	}
 }
 
+// TestAgentSilentTargetBoundedWait: a silent target under a long
+// context deadline still answers ErrNoReply within one probe's
+// timeout, not at the context's deadline.
+func TestAgentSilentTargetBoundedWait(t *testing.T) {
+	tw, addr := startAgent(t)
+	r := rng.New(22, "agent-silent")
+	var target netip.Addr
+	for i := 0; i < 200; i++ {
+		if h := tw.net.GovHostFor("IN", false, "IN", r); !h.ICMP {
+			target = h.Addr
+			break
+		}
+	}
+	if !target.IsValid() {
+		t.Skip("no silent target sampled")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	start := time.Now()
+	if _, err := ProbeOnce(ctx, addr, "IN", target, 0, 9); !errors.Is(err, ErrNoReply) {
+		t.Fatalf("silent target answered: %v", err)
+	}
+	if took := time.Since(start); took > probeTimeout+time.Second {
+		t.Fatalf("silent probe took %v, want at most %v", took, probeTimeout+time.Second)
+	}
+}
+
 func TestAgentRejectsBadInput(t *testing.T) {
 	_, addr := startAgent(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

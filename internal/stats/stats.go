@@ -80,27 +80,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// BoxStats are the five-number summary behind one box in Fig. 11.
-type BoxStats struct {
-	Min, Q1, Median, Q3, Max float64
-	N                        int
-}
-
-// Box computes a five-number summary.
-func Box(xs []float64) BoxStats {
-	if len(xs) == 0 {
-		return BoxStats{}
-	}
-	return BoxStats{
-		Min:    Quantile(xs, 0),
-		Q1:     Quantile(xs, 0.25),
-		Median: Quantile(xs, 0.5),
-		Q3:     Quantile(xs, 0.75),
-		Max:    Quantile(xs, 1),
-		N:      len(xs),
-	}
-}
-
 // Standardize transforms xs to zero mean and unit standard deviation
 // in place-free fashion (returns a new slice). Constant columns come
 // back as all zeros.

@@ -58,7 +58,7 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestQuantileAndBox(t *testing.T) {
+func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Quantile(xs, 0.5); got != 3 {
 		t.Errorf("median = %v", got)
@@ -71,13 +71,6 @@ func TestQuantileAndBox(t *testing.T) {
 	}
 	if got := Quantile(xs, 0.25); got != 2 {
 		t.Errorf("q1 = %v", got)
-	}
-	box := Box(xs)
-	if box.Min != 1 || box.Median != 3 || box.Max != 5 || box.N != 5 {
-		t.Errorf("box = %+v", box)
-	}
-	if Box(nil).N != 0 {
-		t.Error("empty box must be zero")
 	}
 }
 

@@ -121,20 +121,12 @@ func (c *Country) RoadThresholdMS() float64 {
 	return RTTForKM(c.MaxRoadKM)
 }
 
-// SameContinentRegion reports whether two countries belong to the same
-// continental grouping for the purposes of the 3P Regional category:
-// networks "registered outside the country they serve, but that do not
-// span beyond one continent" (§5.1). World Bank regions serve as the
-// continental grouping, with NA and LAC both mapping to the Americas.
-func SameContinentRegion(a, b *Country) bool {
-	return continent(a.Region) == continent(b.Region)
-}
-
-// Continent returns the continental grouping of a region, used to
-// decide whether a provider's footprint spans multiple continents.
-func (r Region) Continent() string { return continent(r) }
-
-func continent(r Region) string {
+// Continent returns the continental grouping of a region, for the 3P
+// Regional category: networks "registered outside the country they
+// serve, but that do not span beyond one continent" (§5.1). World Bank
+// regions serve as the grouping, with NA and LAC both mapping to the
+// Americas.
+func (r Region) Continent() string {
 	switch r {
 	case NA, LAC:
 		return "americas"
