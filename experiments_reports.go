@@ -43,6 +43,9 @@ func (s *Study) reportFig1() string {
 }
 
 func (s *Study) reportTable1() string {
+	if s.env.Metrics() == nil {
+		return "no classification tallies: the study was loaded from a saved dataset, whose export carries no per-method counts\n"
+	}
 	tld, domain, san := s.MethodYields()
 	var b strings.Builder
 	b.WriteString(report.PaperVsMeasured("internal URLs via government TLDs", "27.6%", report.Pct(tld)) + "\n")

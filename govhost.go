@@ -505,11 +505,14 @@ func (s *Study) HTTPSAdoption() HTTPSValidity {
 }
 
 // Load reconstructs a Study from a dataset previously written with
-// ExportJSONL, so saved datasets can be re-analysed — every analysis
-// and report works without re-running the pipeline. The measured
-// per-country statistics are kept verbatim, not re-derived from the
-// records, so the crawl's coverage accounting — attempts, failures,
-// retries — survives the round trip.
+// ExportJSONL, so saved datasets can be re-analysed without re-running
+// the pipeline. The measured per-country statistics are kept verbatim,
+// not re-derived from the records, so the crawl's coverage accounting
+// — attempts, failures, retries — survives the round trip. The export
+// carries no classification-method tallies and no pipeline ledger:
+// MethodYields reads zero on a loaded study, and the Table 1 and
+// metrics reports say the tallies are missing instead of printing
+// figures.
 func Load(r io.Reader) (*Study, error) {
 	ds, err := export.ReadJSONL(r)
 	if err != nil {

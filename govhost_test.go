@@ -418,12 +418,12 @@ func TestExportRoundTripAtStudyLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.TotalBytes() != s.ds.TotalBytes() {
+	// A key analysis must give identical results on the reloaded data.
+	orig := analysis.BuildIndexWorkers(s.ds, 1).GlobalShares()
+	again := analysis.BuildIndexWorkers(reloaded, 1).GlobalShares()
+	if orig.NByte != again.NByte {
 		t.Fatal("byte totals changed across export/import")
 	}
-	// A key analysis must give identical results on the reloaded data.
-	orig := analysis.GlobalShares(s.ds)
-	again := analysis.GlobalShares(reloaded)
 	if orig.URLs != again.URLs || orig.Bytes != again.Bytes {
 		t.Fatal("global shares changed across export/import")
 	}
@@ -474,6 +474,29 @@ func TestLoadReconstructsStudy(t *testing.T) {
 		if out := loaded.Report(id); len(out) < 40 {
 			t.Errorf("report %s too short on a loaded study", id)
 		}
+	}
+}
+
+// TestLoadedTable1ReportsMissingTallies: the export carries no
+// classification-method tallies, so Table 1 on a loaded study must say
+// so instead of printing 0.0 % for every method, while the run that
+// wrote the export still prints its yields.
+func TestLoadedTable1ReportsMissingTallies(t *testing.T) {
+	s := fullStudy(t)
+	var buf bytes.Buffer
+	if err := s.ExportJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loaded.Report("table1")
+	if !strings.Contains(got, "no classification tallies") || strings.Contains(got, "%") {
+		t.Errorf("Table 1 on a loaded study prints figures the export does not carry:\n%s", got)
+	}
+	if fresh := s.Report("table1"); !strings.Contains(fresh, "discarded non-government URLs") {
+		t.Errorf("Table 1 on the fresh run lost its yields:\n%s", fresh)
 	}
 }
 

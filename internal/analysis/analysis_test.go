@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -55,7 +56,7 @@ func tinyDataset() *dataset.Dataset {
 
 func TestGlobalShares(t *testing.T) {
 	ds := tinyDataset()
-	s := GlobalShares(ds)
+	s := BuildIndexWorkers(ds, 1).GlobalShares()
 	if math.Abs(s.URLs[world.CatGovtSOE]-3.0/8) > 1e-9 {
 		t.Errorf("Govt URL share = %v, want 3/8", s.URLs[world.CatGovtSOE])
 	}
@@ -67,7 +68,8 @@ func TestGlobalShares(t *testing.T) {
 
 func TestRegionalAndCountryShares(t *testing.T) {
 	ds := tinyDataset()
-	regional := RegionalShares(ds)
+	ix := BuildIndexWorkers(ds, 1)
+	regional := ix.RegionalShares()
 	if len(regional) != 2 {
 		t.Fatalf("regions = %d", len(regional))
 	}
@@ -75,14 +77,14 @@ func TestRegionalAndCountryShares(t *testing.T) {
 	if math.Abs(lac.URLs[world.CatGovtSOE]-0.75) > 1e-9 {
 		t.Errorf("LAC Govt share = %v, want 0.75", lac.URLs[world.CatGovtSOE])
 	}
-	country := CountryShares(ds)
+	country := ix.CountryShares()
 	if math.Abs(country["DE"].URLs[world.Cat3PLocal]-0.5) > 1e-9 {
 		t.Errorf("DE Local share = %v, want 0.5", country["DE"].URLs[world.Cat3PLocal])
 	}
 }
 
 func TestMajorityMap(t *testing.T) {
-	entries := MajorityMap(tinyDataset())
+	entries := BuildIndexWorkers(tinyDataset(), 1).MajorityMap()
 	got := map[string]bool{}
 	for _, e := range entries {
 		got[e.Country] = e.ThirdPty
@@ -98,7 +100,7 @@ func TestMajorityMap(t *testing.T) {
 }
 
 func TestDomesticIntl(t *testing.T) {
-	s := DomesticIntl(tinyDataset())
+	s := BuildIndexWorkers(tinyDataset(), 1).DomesticIntl()
 	// Registration: UY 3/4 domestic; DE 2/4 → 5/8 overall.
 	if math.Abs(s.RegDomestic-5.0/8) > 1e-9 {
 		t.Errorf("reg domestic = %v, want 5/8", s.RegDomestic)
@@ -114,7 +116,7 @@ func TestDomesticIntlSkipsUnknownGeo(t *testing.T) {
 	r := rec("UY", world.LAC, world.CatGovtSOE, 50, 6057, "UY", "")
 	r.URL += "-excluded"
 	ds.Records = append(ds.Records, r)
-	s := DomesticIntl(ds)
+	s := BuildIndexWorkers(ds, 1).DomesticIntl()
 	if s.NGeo != 8 {
 		t.Fatalf("excluded record entered the geolocation denominator: NGeo=%d", s.NGeo)
 	}
@@ -124,16 +126,23 @@ func TestDomesticIntlSkipsUnknownGeo(t *testing.T) {
 }
 
 func TestCrossBorderFlows(t *testing.T) {
-	ds := tinyDataset()
-	loc := CrossBorderFlows(ds, FlowLocation)
-	if FlowShare(loc, "UY", "US") != 0.25 {
-		t.Errorf("UY→US location share = %v, want 0.25", FlowShare(loc, "UY", "US"))
+	ix := BuildIndexWorkers(tinyDataset(), 1)
+	share := func(flows []Flow, src, dst string) float64 {
+		i := slices.IndexFunc(flows, func(f Flow) bool { return f.Src == src && f.Dst == dst })
+		if i < 0 {
+			return 0
+		}
+		return flows[i].Share
 	}
-	reg := CrossBorderFlows(ds, FlowRegistration)
-	if FlowShare(reg, "DE", "US") != 0.5 {
-		t.Errorf("DE→US registration share = %v, want 0.5", FlowShare(reg, "DE", "US"))
+	loc := ix.CrossBorderFlows(FlowLocation)
+	if share(loc, "UY", "US") != 0.25 {
+		t.Errorf("UY→US location share = %v, want 0.25", share(loc, "UY", "US"))
 	}
-	if FlowShare(loc, "DE", "DE") != 0 {
+	reg := ix.CrossBorderFlows(FlowRegistration)
+	if share(reg, "DE", "US") != 0.5 {
+		t.Errorf("DE→US registration share = %v, want 0.5", share(reg, "DE", "US"))
+	}
+	if share(loc, "DE", "DE") != 0 {
 		t.Error("domestic serving is not a flow")
 	}
 }
@@ -147,14 +156,15 @@ func TestInRegionShareAndAffinity(t *testing.T) {
 		rec("NZ", world.EAP, world.Cat3PGlobal, 1, 1, "US", "US"),
 		rec("MX", world.LAC, world.Cat3PGlobal, 1, 1, "US", "US"),
 	)
-	inReg := InRegionShare(ds, w)
+	ix := BuildIndexWorkers(ds, 1)
+	inReg := ix.InRegionShare(w)
 	if math.Abs(inReg[world.EAP]-0.5) > 1e-9 {
 		t.Errorf("EAP in-region = %v, want 0.5", inReg[world.EAP])
 	}
 	if inReg[world.LAC] != 0 {
 		t.Errorf("LAC in-region = %v, want 0", inReg[world.LAC])
 	}
-	aff := RegionalAffinity(ds, w)
+	aff := ix.RegionalAffinity(w)
 	if aff[world.EAP]["AU"] != 1 {
 		t.Errorf("EAP affinity = %v, want AU hosting 100%%", aff[world.EAP])
 	}
@@ -169,28 +179,27 @@ func TestGDPRCompliance(t *testing.T) {
 		rec("DE", world.ECA, world.Cat3PGlobal, 1, 1, "US", "US"), // violation
 		rec("CH", world.ECA, world.Cat3PGlobal, 1, 1, "US", "US"), // not EU: ignored
 	)
-	ok, total := GDPRCompliance(ds, w)
+	ok, total := BuildIndexWorkers(ds, 1).GDPRCompliance(w)
 	if ok != 2 || total != 3 {
 		t.Fatalf("GDPR = %d/%d, want 2/3", ok, total)
 	}
 }
 
 func TestAbroadInNAWE(t *testing.T) {
-	w := world.New()
 	ds := &dataset.Dataset{}
 	ds.Records = append(ds.Records,
 		rec("CN", world.EAP, world.Cat3PGlobal, 1, 1, "JP", "JP"), // abroad, not west
 		rec("MX", world.LAC, world.Cat3PGlobal, 1, 1, "US", "US"), // abroad, west
 		rec("MX", world.LAC, world.CatGovtSOE, 1, 2, "MX", "MX"),  // domestic: excluded
 	)
-	if got := AbroadInNAWE(ds, w); math.Abs(got-0.5) > 1e-9 {
+	if got := BuildIndexWorkers(ds, 1).AbroadInNAWE(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("NA/WE share = %v, want 0.5", got)
 	}
 }
 
 func TestGlobalProviderFootprints(t *testing.T) {
 	ds := tinyDataset()
-	fp := GlobalProviderFootprints(ds)
+	fp := BuildIndexWorkers(ds, 1).GlobalProviderFootprints()
 	if len(fp) != 2 {
 		t.Fatalf("footprints = %+v", fp)
 	}
@@ -204,7 +213,7 @@ func TestGlobalProviderFootprints(t *testing.T) {
 
 func TestDiversifyAndSingleNetwork(t *testing.T) {
 	ds := tinyDataset()
-	divs := Diversify(ds)
+	divs := BuildIndexWorkers(ds, 1).Diversify()
 	if len(divs) != 2 {
 		t.Fatalf("diversifications = %+v", divs)
 	}
@@ -232,7 +241,7 @@ func TestDiversifyAndSingleNetwork(t *testing.T) {
 }
 
 func TestHHIByGroup(t *testing.T) {
-	urls, bytes := HHIByGroup(Diversify(tinyDataset()))
+	urls, bytes := HHIByGroup(BuildIndexWorkers(tinyDataset(), 1).Diversify())
 	if len(urls[world.Cat3PGlobal]) != 2 || len(bytes[world.Cat3PGlobal]) != 2 {
 		t.Fatalf("grouping wrong: %v %v", urls, bytes)
 	}
@@ -272,7 +281,7 @@ func TestCompareTopsites(t *testing.T) {
 	top := rec("DE", world.ECA, world.CatGovtSOE, 100, 99, "US", "US")
 	top.TopsiteSelf = true
 	ds.Topsites = append(ds.Topsites, top)
-	c := CompareTopsites(ds)
+	c := BuildIndexWorkers(ds, 1).CompareTopsites()
 	if c.Topsites.URLs[world.CatGovtSOE] != 1 {
 		t.Errorf("self-hosting share = %v", c.Topsites.URLs[world.CatGovtSOE])
 	}
@@ -371,7 +380,7 @@ func TestRegionFlowMatrix(t *testing.T) {
 		rec("CN", world.EAP, world.Cat3PGlobal, 1, 1, "US", "US"),
 		rec("CN", world.EAP, world.CatGovtSOE, 1, 2, "CN", "CN"), // domestic: not a flow
 	)
-	m := RegionFlowMatrix(ds, w, FlowLocation)
+	m := BuildIndexWorkers(ds, 1).RegionFlowMatrix(w, FlowLocation)
 	if m[world.EAP][world.EAP] != 1 || m[world.EAP][world.NA] != 1 {
 		t.Fatalf("matrix = %v", m)
 	}

@@ -1,12 +1,5 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/dataset"
-	"repro/internal/world"
-)
-
 // Flow is one cross-border dependency edge: the fraction of the source
 // government's URLs that depend on the destination country.
 type Flow struct {
@@ -23,180 +16,3 @@ const (
 	FlowRegistration FlowKind = iota // Fig. 9a: country of registration
 	FlowLocation                     // Fig. 9b: server location
 )
-
-// CrossBorderFlows computes the Fig. 9 flow list: for every country,
-// the foreign countries its government URLs depend on, either by
-// organization registration or by server location.
-func CrossBorderFlows(ds *dataset.Dataset, kind FlowKind) []Flow {
-	perSrc := map[string]int{}
-	edge := map[[2]string]int{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		dst := r.RegCountry
-		if kind == FlowLocation {
-			dst = r.ServeCountry
-		}
-		if dst == "" {
-			continue
-		}
-		perSrc[r.Country]++
-		if dst != r.Country {
-			edge[[2]string{r.Country, dst}]++
-		}
-	}
-	var out []Flow
-	for k, n := range edge {
-		out = append(out, Flow{
-			Src: k[0], Dst: k[1], URLs: n,
-			Share: float64(n) / float64(perSrc[k[0]]),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		if out[i].URLs != out[j].URLs {
-			return out[i].URLs > out[j].URLs
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// FlowShare returns the share of src's URLs depending on dst (0 when
-// absent).
-func FlowShare(flows []Flow, src, dst string) float64 {
-	for _, f := range flows {
-		if f.Src == src && f.Dst == dst {
-			return f.Share
-		}
-	}
-	return 0
-}
-
-// InRegionShare computes Table 5: per source region, the percentage of
-// cross-border (location) dependencies whose destination stays in the
-// same region.
-func InRegionShare(ds *dataset.Dataset, w *world.Model) map[world.Region]float64 {
-	total := map[world.Region]int{}
-	inRegion := map[world.Region]int{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.ServeCountry == "" || r.ServeCountry == r.Country {
-			continue
-		}
-		src := w.Country(r.Country)
-		dst := w.Country(r.ServeCountry)
-		if src == nil || dst == nil {
-			continue
-		}
-		total[src.Region]++
-		if src.Region == dst.Region {
-			inRegion[src.Region]++
-		}
-	}
-	out := map[world.Region]float64{}
-	for reg, n := range total {
-		out[reg] = float64(inRegion[reg]) / float64(n)
-	}
-	return out
-}
-
-// RegionalAffinity returns, per region, the share of in-region
-// cross-border dependencies hosted by each destination country (§6.3:
-// South Africa hosts 100 % of SSA's, Brazil 85 % of LAC's, Japan 60 %
-// of EAP's…).
-func RegionalAffinity(ds *dataset.Dataset, w *world.Model) map[world.Region]map[string]float64 {
-	counts := map[world.Region]map[string]int{}
-	totals := map[world.Region]int{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.ServeCountry == "" || r.ServeCountry == r.Country {
-			continue
-		}
-		src := w.Country(r.Country)
-		dst := w.Country(r.ServeCountry)
-		if src == nil || dst == nil || src.Region != dst.Region {
-			continue
-		}
-		if counts[src.Region] == nil {
-			counts[src.Region] = map[string]int{}
-		}
-		counts[src.Region][r.ServeCountry]++
-		totals[src.Region]++
-	}
-	out := map[world.Region]map[string]float64{}
-	for reg, m := range counts {
-		out[reg] = map[string]float64{}
-		for dst, n := range m {
-			out[reg][dst] = float64(n) / float64(totals[reg])
-		}
-	}
-	return out
-}
-
-// GDPRCompliance reports the fraction of EU-member government URLs
-// served from inside the EU (§6.3 finds 98.3 %).
-func GDPRCompliance(ds *dataset.Dataset, w *world.Model) (compliant, total int) {
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		src := w.Country(r.Country)
-		if src == nil || !src.EU || r.ServeCountry == "" {
-			continue
-		}
-		total++
-		dst := w.Country(r.ServeCountry)
-		if dst != nil && dst.EU {
-			compliant++
-		}
-	}
-	return compliant, total
-}
-
-// RegionFlowMatrix aggregates the Fig. 9 circular Sankey into a
-// region-to-region matrix: entry [src][dst] is the number of
-// cross-border URLs flowing from governments in src to infrastructure
-// in dst (registration or location, per kind).
-func RegionFlowMatrix(ds *dataset.Dataset, w *world.Model, kind FlowKind) map[world.Region]map[world.Region]int {
-	out := map[world.Region]map[world.Region]int{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		dstCode := r.RegCountry
-		if kind == FlowLocation {
-			dstCode = r.ServeCountry
-		}
-		if dstCode == "" || dstCode == r.Country {
-			continue
-		}
-		dst := w.Country(dstCode)
-		if dst == nil {
-			continue
-		}
-		if out[r.Region] == nil {
-			out[r.Region] = map[world.Region]int{}
-		}
-		out[r.Region][dst.Region]++
-	}
-	return out
-}
-
-// AbroadInNAWE returns the share of foreign-served government URLs
-// whose servers sit in North America or Western Europe (§6.3: 57 %).
-func AbroadInNAWE(ds *dataset.Dataset, w *world.Model) float64 {
-	western := westernNAWE
-	total, nawe := 0, 0
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.ServeCountry == "" || r.ServeCountry == r.Country {
-			continue
-		}
-		total++
-		if western[r.ServeCountry] {
-			nawe++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(nawe) / float64(total)
-}

@@ -10,11 +10,11 @@ import (
 )
 
 // Index is every per-record aggregate the figures and tables consume,
-// built in one forward scan of the dataset. The package-level
-// functions each rescan ds.Records; a report renders a dozen figures
-// over one study, so the scans dominated figure time. The index folds
-// all of them into a single pass and answers each query from the
-// aggregates in O(countries) or O(edges).
+// built in one forward scan of the dataset. A report renders a dozen
+// figures over one study; rescanning ds.Records per figure would
+// dominate figure time, so the index folds every figure's aggregate
+// into a single pass and answers each query from the aggregates in
+// O(countries) or O(edges).
 //
 // Equivalence is exact, not approximate: every float accumulation in
 // the index (category byte shares, per-ASN byte totals) is a sum of
@@ -24,9 +24,10 @@ import (
 // partitioned across workers (BuildIndexWorkers) and every aggregate,
 // and every figure rendered from it, stays byte-identical. The
 // integer aggregates (split counts, flow edges, provider footprints)
-// are order-independent sums outright. IndexEquivalence tests pin
-// each query to its package-level counterpart, and the worker-sweep
-// test pins the parallel build to the sequential one.
+// are order-independent sums outright. The equivalence tests pin
+// each query, at every build width, to a record-scanning reference
+// kept in the tests, and the worker-sweep test pins the parallel build
+// to the sequential one.
 type Index struct {
 	global    Shares
 	byRegion  map[world.Region]Shares
@@ -314,7 +315,8 @@ func (ix *Index) pairs(kind FlowKind) map[[2]string]int {
 	return ix.regPairs
 }
 
-// GlobalShares answers Fig. 2.
+// GlobalShares answers Fig. 2: the global fraction of URLs and bytes
+// served by each provider category.
 func (ix *Index) GlobalShares() Shares {
 	s := ix.global
 	s.normalize()
@@ -331,7 +333,8 @@ func (ix *Index) RegionalShares() map[world.Region]Shares {
 	return out
 }
 
-// CountryShares answers the Fig. 5 input vectors.
+// CountryShares answers each country's hosting signature, the Fig. 5
+// input vectors.
 func (ix *Index) CountryShares() map[string]Shares {
 	out := make(map[string]Shares, len(ix.byCountry))
 	for c, s := range ix.byCountry {
@@ -341,7 +344,8 @@ func (ix *Index) CountryShares() map[string]Shares {
 	return out
 }
 
-// MajorityMap answers Fig. 1.
+// MajorityMap answers Fig. 1: whether each country's bytes are
+// majority-served by third parties or by government/SOE networks.
 func (ix *Index) MajorityMap() []MajorityEntry {
 	codes := make([]string, 0, len(ix.byCountry))
 	for c := range ix.byCountry {
@@ -372,9 +376,10 @@ func (ix *Index) RegionalDomesticIntl() map[world.Region]SplitShares {
 	return out
 }
 
-// CrossBorderFlows answers Fig. 9. Per-source totals count every
-// record with a known destination (domestic included), exactly as the
-// record-scanning version does.
+// CrossBorderFlows answers Fig. 9: for every country, the foreign
+// countries its government URLs depend on, by organization
+// registration or by server location. Per-source totals count every
+// record with a known destination, domestic included.
 func (ix *Index) CrossBorderFlows(kind FlowKind) []Flow {
 	pairs := ix.pairs(kind)
 	perSrc := map[string]int{}
@@ -403,7 +408,9 @@ func (ix *Index) CrossBorderFlows(kind FlowKind) []Flow {
 	return out
 }
 
-// InRegionShare answers Table 5.
+// InRegionShare answers Table 5: per source region, the share of
+// cross-border (location) dependencies whose destination stays in the
+// same region.
 func (ix *Index) InRegionShare(w *world.Model) map[world.Region]float64 {
 	total := map[world.Region]int{}
 	inRegion := map[world.Region]int{}
@@ -428,7 +435,9 @@ func (ix *Index) InRegionShare(w *world.Model) map[world.Region]float64 {
 	return out
 }
 
-// RegionalAffinity answers the §6.3 in-region host shares.
+// RegionalAffinity answers, per region, the share of in-region
+// cross-border dependencies hosted by each destination country (§6.3:
+// South Africa hosts 100 % of SSA's, Brazil 85 % of LAC's).
 func (ix *Index) RegionalAffinity(w *world.Model) map[world.Region]map[string]float64 {
 	counts := map[world.Region]map[string]int{}
 	totals := map[world.Region]int{}
@@ -457,7 +466,9 @@ func (ix *Index) RegionalAffinity(w *world.Model) map[world.Region]map[string]fl
 	return out
 }
 
-// GDPRCompliance answers the §6.3 EU finding.
+// GDPRCompliance counts the EU-member government URLs with a known
+// location, and how many of them are served from inside the EU (§6.3
+// finds 98.3 %).
 func (ix *Index) GDPRCompliance(w *world.Model) (compliant, total int) {
 	for k, n := range ix.locPairs {
 		src := w.Country(k[0])
@@ -473,7 +484,9 @@ func (ix *Index) GDPRCompliance(w *world.Model) (compliant, total int) {
 	return compliant, total
 }
 
-// RegionFlowMatrix answers the Fig. 9 region-to-region aggregation.
+// RegionFlowMatrix aggregates the Fig. 9 circular Sankey into a
+// region-to-region matrix: entry [src][dst] counts the cross-border
+// URLs flowing from governments in src to infrastructure in dst.
 func (ix *Index) RegionFlowMatrix(w *world.Model, kind FlowKind) map[world.Region]map[world.Region]int {
 	out := map[world.Region]map[world.Region]int{}
 	for k, n := range ix.pairs(kind) {
@@ -493,7 +506,8 @@ func (ix *Index) RegionFlowMatrix(w *world.Model, kind FlowKind) map[world.Regio
 	return out
 }
 
-// AbroadInNAWE answers the §6.3 57 % finding.
+// AbroadInNAWE answers the share of foreign-served government URLs
+// whose servers sit in North America or Western Europe (§6.3: 57 %).
 func (ix *Index) AbroadInNAWE() float64 {
 	total, nawe := 0, 0
 	for k, n := range ix.locPairs {
@@ -511,7 +525,9 @@ func (ix *Index) AbroadInNAWE() float64 {
 	return float64(nawe) / float64(total)
 }
 
-// GlobalProviderFootprints answers Fig. 10.
+// GlobalProviderFootprints answers Fig. 10: for every network
+// classified 3P Global, the number of countries whose governments it
+// serves, ranked descending.
 func (ix *Index) GlobalProviderFootprints() []ProviderFootprint {
 	out := make([]ProviderFootprint, 0, len(ix.providerCountries))
 	for asn, set := range ix.providerCountries {
@@ -526,7 +542,8 @@ func (ix *Index) GlobalProviderFootprints() []ProviderFootprint {
 	return out
 }
 
-// Diversify answers Fig. 11.
+// Diversify answers Fig. 11: per-country network-concentration indexes,
+// grouped by each country's dominant byte category (§7.2).
 func (ix *Index) Diversify() []Diversification {
 	codes := make([]string, 0, len(ix.diversify))
 	for c := range ix.diversify {
@@ -561,7 +578,9 @@ func (ix *Index) Diversify() []Diversification {
 	return out
 }
 
-// CompareTopsites answers Figs. 3 and 7.
+// CompareTopsites answers Figs. 3 and 7 over the countries that have
+// top-site records, restricting the government side to the same
+// subset so both halves describe the same population.
 func (ix *Index) CompareTopsites() Comparison {
 	cmp := Comparison{Gov: ix.subsetGov, Topsites: ix.topsites}
 	cmp.Gov.normalize()
@@ -571,8 +590,8 @@ func (ix *Index) CompareTopsites() Comparison {
 	return cmp
 }
 
-// westernNAWE is the AbroadInNAWE destination set (North America and
-// Western Europe), shared with the record-scanning version.
+// westernNAWE is the AbroadInNAWE destination set: North America and
+// Western Europe.
 var westernNAWE = map[string]bool{
 	"US": true, "CA": true, "DE": true, "FR": true, "GB": true, "NL": true,
 	"IE": true, "BE": true, "CH": true, "AT": true, "LU": true, "ES": true,

@@ -24,42 +24,97 @@ func indexDataset() *dataset.Dataset {
 	return ds
 }
 
-// TestIndexEquivalence pins every Index query to the record-scanning
-// function it replaces: the memoized report path must agree exactly —
-// floats included — on the same dataset.
-func TestIndexEquivalence(t *testing.T) {
-	ds := indexDataset()
-	w := world.New()
-	ix := BuildIndexWorkers(ds, 1)
+// indexQueries is every Index query beside the record-scanning
+// reference it must reproduce, one row per FlowKind where the query
+// takes one.
+var indexQueries = []struct {
+	name string
+	ix   func(*Index, *world.Model) any
+	ref  func(*dataset.Dataset, *world.Model) any
+}{
+	{"GlobalShares",
+		func(ix *Index, _ *world.Model) any { return ix.GlobalShares() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return globalSharesReference(ds) }},
+	{"RegionalShares",
+		func(ix *Index, _ *world.Model) any { return ix.RegionalShares() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return regionalSharesReference(ds) }},
+	{"CountryShares",
+		func(ix *Index, _ *world.Model) any { return ix.CountryShares() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return countrySharesReference(ds) }},
+	{"MajorityMap",
+		func(ix *Index, _ *world.Model) any { return ix.MajorityMap() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return majorityMapReference(ds) }},
+	{"DomesticIntl",
+		func(ix *Index, _ *world.Model) any { return ix.DomesticIntl() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return domesticIntlReference(ds) }},
+	{"RegionalDomesticIntl",
+		func(ix *Index, _ *world.Model) any { return ix.RegionalDomesticIntl() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return regionalDomesticIntlReference(ds) }},
+	{"CrossBorderFlows/reg",
+		func(ix *Index, _ *world.Model) any { return ix.CrossBorderFlows(FlowRegistration) },
+		func(ds *dataset.Dataset, _ *world.Model) any { return crossBorderFlowsReference(ds, FlowRegistration) }},
+	{"CrossBorderFlows/loc",
+		func(ix *Index, _ *world.Model) any { return ix.CrossBorderFlows(FlowLocation) },
+		func(ds *dataset.Dataset, _ *world.Model) any { return crossBorderFlowsReference(ds, FlowLocation) }},
+	{"InRegionShare",
+		func(ix *Index, w *world.Model) any { return ix.InRegionShare(w) },
+		func(ds *dataset.Dataset, w *world.Model) any { return inRegionShareReference(ds, w) }},
+	{"RegionalAffinity",
+		func(ix *Index, w *world.Model) any { return ix.RegionalAffinity(w) },
+		func(ds *dataset.Dataset, w *world.Model) any { return regionalAffinityReference(ds, w) }},
+	{"GDPRCompliance",
+		func(ix *Index, w *world.Model) any { c, n := ix.GDPRCompliance(w); return [2]int{c, n} },
+		func(ds *dataset.Dataset, w *world.Model) any {
+			c, n := gdprComplianceReference(ds, w)
+			return [2]int{c, n}
+		}},
+	{"RegionFlowMatrix/reg",
+		func(ix *Index, w *world.Model) any { return ix.RegionFlowMatrix(w, FlowRegistration) },
+		func(ds *dataset.Dataset, w *world.Model) any {
+			return regionFlowMatrixReference(ds, w, FlowRegistration)
+		}},
+	{"RegionFlowMatrix/loc",
+		func(ix *Index, w *world.Model) any { return ix.RegionFlowMatrix(w, FlowLocation) },
+		func(ds *dataset.Dataset, w *world.Model) any { return regionFlowMatrixReference(ds, w, FlowLocation) }},
+	{"AbroadInNAWE",
+		func(ix *Index, _ *world.Model) any { return ix.AbroadInNAWE() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return abroadInNAWEReference(ds) }},
+	{"GlobalProviderFootprints",
+		func(ix *Index, _ *world.Model) any { return ix.GlobalProviderFootprints() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return globalProviderFootprintsReference(ds) }},
+	{"Diversify",
+		func(ix *Index, _ *world.Model) any { return ix.Diversify() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return diversifyReference(ds) }},
+	{"CompareTopsites",
+		func(ix *Index, _ *world.Model) any { return ix.CompareTopsites() },
+		func(ds *dataset.Dataset, _ *world.Model) any { return compareTopsitesReference(ds) }},
+}
 
-	check := func(name string, got, want any) {
-		t.Helper()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: index disagrees with scan\n got: %#v\nwant: %#v", name, got, want)
+// checkIndexQueries builds the index at each width over indexDataset
+// and degradedDataset and holds every query to its reference exactly,
+// floats included.
+func checkIndexQueries(t *testing.T, widths ...int) {
+	t.Helper()
+	w := world.New()
+	for _, d := range []struct {
+		name string
+		ds   *dataset.Dataset
+	}{{"indexDataset", indexDataset()}, {"degradedDataset", degradedDataset()}} {
+		for _, width := range widths {
+			ix := BuildIndexWorkers(d.ds, width)
+			for _, q := range indexQueries {
+				if got, want := q.ix(ix, w), q.ref(d.ds, w); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s at width %d: %s: index disagrees with reference\n got: %#v\nwant: %#v", d.name, width, q.name, got, want)
+				}
+			}
 		}
 	}
+}
 
-	check("GlobalShares", ix.GlobalShares(), GlobalShares(ds))
-	check("RegionalShares", ix.RegionalShares(), RegionalShares(ds))
-	check("CountryShares", ix.CountryShares(), CountryShares(ds))
-	check("MajorityMap", ix.MajorityMap(), MajorityMap(ds))
-	check("DomesticIntl", ix.DomesticIntl(), DomesticIntl(ds))
-	check("RegionalDomesticIntl", ix.RegionalDomesticIntl(), RegionalDomesticIntl(ds))
-	check("CrossBorderFlows/reg", ix.CrossBorderFlows(FlowRegistration), CrossBorderFlows(ds, FlowRegistration))
-	check("CrossBorderFlows/loc", ix.CrossBorderFlows(FlowLocation), CrossBorderFlows(ds, FlowLocation))
-	check("InRegionShare", ix.InRegionShare(w), InRegionShare(ds, w))
-	check("RegionalAffinity", ix.RegionalAffinity(w), RegionalAffinity(ds, w))
-	ic, it := ix.GDPRCompliance(w)
-	sc, st := GDPRCompliance(ds, w)
-	if ic != sc || it != st {
-		t.Errorf("GDPRCompliance: index %d/%d, scan %d/%d", ic, it, sc, st)
-	}
-	check("RegionFlowMatrix/reg", ix.RegionFlowMatrix(w, FlowRegistration), RegionFlowMatrix(ds, w, FlowRegistration))
-	check("RegionFlowMatrix/loc", ix.RegionFlowMatrix(w, FlowLocation), RegionFlowMatrix(ds, w, FlowLocation))
-	check("AbroadInNAWE", ix.AbroadInNAWE(), AbroadInNAWE(ds, w))
-	check("GlobalProviderFootprints", ix.GlobalProviderFootprints(), GlobalProviderFootprints(ds))
-	check("Diversify", ix.Diversify(), Diversify(ds))
-	check("CompareTopsites", ix.CompareTopsites(), CompareTopsites(ds))
+// TestIndexEquivalence pins every Index query, built sequentially, to
+// the record-scanning reference it replaced.
+func TestIndexEquivalence(t *testing.T) {
+	checkIndexQueries(t, 1)
 }
 
 // TestIndexQueriesAreRepeatable guards the memoization contract: query

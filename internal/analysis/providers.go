@@ -3,8 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/dataset"
-	"repro/internal/stats"
 	"repro/internal/world"
 )
 
@@ -15,36 +13,6 @@ type ProviderFootprint struct {
 	Countries int // number of governments relying on the network
 }
 
-// GlobalProviderFootprints computes Fig. 10: for every network
-// classified 3P Global, the number of countries whose governments it
-// serves, ranked descending.
-func GlobalProviderFootprints(ds *dataset.Dataset) []ProviderFootprint {
-	countries := map[int]map[string]bool{}
-	orgs := map[int]string{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.Category != world.Cat3PGlobal {
-			continue
-		}
-		if countries[r.ASN] == nil {
-			countries[r.ASN] = map[string]bool{}
-		}
-		countries[r.ASN][r.Country] = true
-		orgs[r.ASN] = r.Org
-	}
-	out := make([]ProviderFootprint, 0, len(countries))
-	for asn, set := range countries {
-		out = append(out, ProviderFootprint{ASN: asn, Org: orgs[asn], Countries: len(set)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Countries != out[j].Countries {
-			return out[i].Countries > out[j].Countries
-		}
-		return out[i].ASN < out[j].ASN
-	})
-	return out
-}
-
 // Diversification is one country's Fig. 11 data point.
 type Diversification struct {
 	Country     string
@@ -52,58 +20,6 @@ type Diversification struct {
 	HHIBytes    float64
 	DominantCat world.Category // predominant byte source (grouping key)
 	TopNetShare float64        // byte share of the single largest network
-}
-
-// Diversify computes per-country network-concentration indexes and
-// groups countries by their dominant byte category (§7.2).
-func Diversify(ds *dataset.Dataset) []Diversification {
-	type acc struct {
-		urlsByASN  map[int]float64
-		bytesByASN map[int]float64
-		shares     Shares
-	}
-	perCountry := map[string]*acc{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		a := perCountry[r.Country]
-		if a == nil {
-			a = &acc{urlsByASN: map[int]float64{}, bytesByASN: map[int]float64{}}
-			perCountry[r.Country] = a
-		}
-		a.urlsByASN[r.ASN]++
-		a.bytesByASN[r.ASN] += float64(r.Bytes)
-		a.shares.add(r)
-	}
-	codes := make([]string, 0, len(perCountry))
-	for c := range perCountry {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	out := make([]Diversification, 0, len(codes))
-	for _, c := range codes {
-		a := perCountry[c]
-		a.shares.normalize()
-		urls := mapValues(a.urlsByASN)
-		bytes := mapValues(a.bytesByASN)
-		var topShare float64
-		var byteTotal float64
-		for _, b := range bytes {
-			byteTotal += b
-		}
-		for _, b := range bytes {
-			if s := b / byteTotal; s > topShare {
-				topShare = s
-			}
-		}
-		out = append(out, Diversification{
-			Country:     c,
-			HHIURLs:     stats.HHI(urls),
-			HHIBytes:    stats.HHI(bytes),
-			DominantCat: a.shares.Bytes.Dominant(),
-			TopNetShare: topShare,
-		})
-	}
-	return out
 }
 
 // SingleNetworkShare returns, for each dominant category, the fraction

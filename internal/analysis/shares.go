@@ -6,11 +6,14 @@
 // (Fig. 9, Table 5), global-provider footprints (Fig. 10), HHI
 // diversification (Fig. 11), and the explanatory OLS model
 // (Fig. 12, Table 7).
+//
+// The Index is the one computation behind every figure and table
+// above: BuildIndexWorkers folds the dataset into it in a single scan,
+// and each figure is a query over its aggregates. Clustering and the
+// OLS model read their inputs from the Index too.
 package analysis
 
 import (
-	"sort"
-
 	"repro/internal/dataset"
 	"repro/internal/world"
 )
@@ -49,76 +52,11 @@ func (s *Shares) normalize() {
 	s.Bytes = s.Bytes.Normalize()
 }
 
-// GlobalShares computes Fig. 2: the global fraction of URLs and bytes
-// served by each provider category.
-func GlobalShares(ds *dataset.Dataset) Shares {
-	var s Shares
-	for i := range ds.Records {
-		s.add(&ds.Records[i])
-	}
-	s.normalize()
-	return s
-}
-
-// RegionalShares computes Fig. 4: per-region category shares.
-func RegionalShares(ds *dataset.Dataset) map[world.Region]Shares {
-	out := map[world.Region]Shares{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		s := out[r.Region]
-		s.add(r)
-		out[r.Region] = s
-	}
-	for k, s := range out {
-		s.normalize()
-		out[k] = s
-	}
-	return out
-}
-
-// CountryShares computes each country's hosting signature — the
-// Fig. 5 input vectors.
-func CountryShares(ds *dataset.Dataset) map[string]Shares {
-	out := map[string]Shares{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		s := out[r.Country]
-		s.add(r)
-		out[r.Country] = s
-	}
-	for k, s := range out {
-		s.normalize()
-		out[k] = s
-	}
-	return out
-}
-
 // MajorityEntry is one country of the Fig. 1 map.
 type MajorityEntry struct {
 	Country  string
 	ThirdPty bool // majority of bytes from third parties (brown); else Govt&SOE (purple)
 	GovShare float64
-}
-
-// MajorityMap computes Fig. 1: whether each country's bytes are
-// majority-served by third parties or by government/SOE networks.
-func MajorityMap(ds *dataset.Dataset) []MajorityEntry {
-	shares := CountryShares(ds)
-	codes := make([]string, 0, len(shares))
-	for c := range shares {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	out := make([]MajorityEntry, 0, len(codes))
-	for _, c := range codes {
-		gov := shares[c].Bytes[world.CatGovtSOE]
-		out = append(out, MajorityEntry{
-			Country:  c,
-			ThirdPty: gov < 0.5,
-			GovShare: gov,
-		})
-	}
-	return out
 }
 
 // SplitShares holds a domestic/international pair for registration and
@@ -129,55 +67,13 @@ type SplitShares struct {
 	NReg, NGeo  int
 }
 
-// DomesticIntl computes Fig. 6 over the whole dataset.
-func DomesticIntl(ds *dataset.Dataset) SplitShares {
-	return splitOf(recordsOf(ds))
-}
+// Comparison is the Figs. 3 and 7 result: government vs top-site
+// hosting for the Table 6 country subset. For the top-site half,
+// CatGovtSOE reads as "Self-Hosting" (Appendix D).
+type Comparison struct {
+	Gov      Shares
+	Topsites Shares
 
-// RegionalDomesticIntl computes Fig. 8 per region.
-func RegionalDomesticIntl(ds *dataset.Dataset) map[world.Region]SplitShares {
-	byRegion := map[world.Region][]*dataset.URLRecord{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		byRegion[r.Region] = append(byRegion[r.Region], r)
-	}
-	out := map[world.Region]SplitShares{}
-	for reg, recs := range byRegion {
-		out[reg] = splitOf(recs)
-	}
-	return out
-}
-
-func recordsOf(ds *dataset.Dataset) []*dataset.URLRecord {
-	out := make([]*dataset.URLRecord, len(ds.Records))
-	for i := range ds.Records {
-		out[i] = &ds.Records[i]
-	}
-	return out
-}
-
-func splitOf(recs []*dataset.URLRecord) SplitShares {
-	var s SplitShares
-	var regDom, geoDom int
-	for _, r := range recs {
-		if r.RegCountry != "" {
-			s.NReg++
-			if r.RegDomestic() {
-				regDom++
-			}
-		}
-		if r.ServeCountry != "" {
-			s.NGeo++
-			if r.Domestic() {
-				geoDom++
-			}
-		}
-	}
-	if s.NReg > 0 {
-		s.RegDomestic = float64(regDom) / float64(s.NReg)
-	}
-	if s.NGeo > 0 {
-		s.GeoDomestic = float64(geoDom) / float64(s.NGeo)
-	}
-	return s
+	GovSplit SplitShares
+	TopSplit SplitShares
 }

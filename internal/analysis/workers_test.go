@@ -56,24 +56,11 @@ func TestBuildIndexWorkerSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildIndexWorkersMatchesScans re-runs the scan-equivalence pins
-// against a parallel build, so the merge path is held to the same
-// exact-floats contract as the sequential scan.
+// TestBuildIndexWorkersMatchesScans holds the parallel build's merge
+// path to the same exact-floats contract: every query, at widths 2
+// and 8, against its record-scanning reference.
 func TestBuildIndexWorkersMatchesScans(t *testing.T) {
-	ds := degradedDataset()
-	ix := BuildIndexWorkers(ds, 8)
-	if got, want := ix.GlobalShares(), GlobalShares(ds); !reflect.DeepEqual(got, want) {
-		t.Errorf("GlobalShares: parallel index %#v, scan %#v", got, want)
-	}
-	if got, want := ix.CountryShares(), CountryShares(ds); !reflect.DeepEqual(got, want) {
-		t.Errorf("CountryShares: parallel index disagrees with scan")
-	}
-	if got, want := ix.CrossBorderFlows(FlowLocation), CrossBorderFlows(ds, FlowLocation); !reflect.DeepEqual(got, want) {
-		t.Errorf("CrossBorderFlows: parallel index disagrees with scan")
-	}
-	if got, want := ix.Diversify(), Diversify(ds); !reflect.DeepEqual(got, want) {
-		t.Errorf("Diversify: parallel index disagrees with scan")
-	}
+	checkIndexQueries(t, 2, 8)
 }
 
 // TestChunkBoundsCoverAndAlign checks the partition invariants: the

@@ -170,7 +170,7 @@ type Store struct {
 	dir        string
 	slot       int
 	slots      int
-	generation int
+	generation int    // the held lease's takeover generation: 1 for a first acquisition, +1 per stale takeover
 	leaseName  string // "" when no lease is held (ValidateOnly)
 	tmpSuffix  string
 }
@@ -271,11 +271,6 @@ func Open(dir string, m Manifest, o Options) (*Store, *LoadResult, error) {
 	}
 	return s, res, nil
 }
-
-// Generation reports the takeover generation of the held lease: 1 for
-// a first acquisition, incremented each time a stale lease for the
-// same slot is taken over. Zero when no lease is held.
-func (s *Store) Generation() int { return s.generation }
 
 // Close releases the store's lease, if it holds one. Safe to call on
 // a store that never took a lease, and idempotent.

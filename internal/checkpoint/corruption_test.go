@@ -130,8 +130,8 @@ func TestLeaseStaleTakenOverWithGenerationBump(t *testing.T) {
 	}
 
 	store, _ = mustOpen(t, dir, testManifest(), Options{Resume: true})
-	if store.Generation() != 4 {
-		t.Fatalf("takeover generation = %d, want 4", store.Generation())
+	if store.generation != 4 {
+		t.Fatalf("takeover generation = %d, want 4", store.generation)
 	}
 	raw, err := os.ReadFile(leasePath)
 	if err != nil {
@@ -174,8 +174,8 @@ func TestValidateOnlySkipsLeaseAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Countries) != 0 || v.Generation() != 0 {
-		t.Fatalf("validate-only loaded work or took a lease: %+v gen=%d", res, v.Generation())
+	if len(res.Countries) != 0 || v.generation != 0 {
+		t.Fatalf("validate-only loaded work or took a lease: %+v gen=%d", res, v.generation)
 	}
 	// The manifest was written, and no lease blocks a real opener.
 	mustOpen(t, dir, testManifest(), Options{Resume: true})

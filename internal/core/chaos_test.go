@@ -52,7 +52,7 @@ func TestChaosDeterministicAcrossConcurrency(t *testing.T) {
 		cfg := chaosConfig()
 		cfg.CountryConcurrency = sh.country
 		cfg.FetchConcurrency = sh.fetch
-		ds, err := Run(context.Background(), cfg)
+		ds, err := NewEnv(cfg).Run(context.Background())
 		if err != nil {
 			t.Fatalf("concurrency %+v: %v", sh, err)
 		}
@@ -78,11 +78,11 @@ func TestChaosFaultSeedIndependent(t *testing.T) {
 	a := chaosConfig()
 	b := chaosConfig()
 	b.FaultSeed = 99
-	dsA, err := Run(context.Background(), a)
+	dsA, err := NewEnv(a).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsB, err := Run(context.Background(), b)
+	dsB, err := NewEnv(b).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestChaosFaultSeedIndependent(t *testing.T) {
 	clean2 := chaosConfig()
 	clean2.FaultProfile = "off"
 	clean2.FaultSeed = 1234
-	c1, err := Run(context.Background(), clean)
+	c1, err := NewEnv(clean).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Run(context.Background(), clean2)
+	c2, err := NewEnv(clean2).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestChaosFaultSeedIndependent(t *testing.T) {
 // pipeline must finish and account for every loss in the per-country
 // failure taxonomy instead of aborting.
 func TestChaosRunCompletesWithTaxonomy(t *testing.T) {
-	ds, err := Run(context.Background(), chaosConfig())
+	ds, err := NewEnv(chaosConfig()).Run(context.Background())
 	if err != nil {
 		t.Fatalf("aggressive-profile run aborted: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestChaosRunCompletesWithTaxonomy(t *testing.T) {
 func TestChaosStormTaxonomyBreadth(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.FaultProfile = "timeout=0.5,reset=0.4,5xx=0.45,truncate=0.4,dead=0.05,servfail=0.5"
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("fault storm aborted the run: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestChaosStormTaxonomyBreadth(t *testing.T) {
 // mint duplicate records or leak a record for a URL that also counted
 // as a failure.
 func TestChaosNoLostOrDuplicatedRecords(t *testing.T) {
-	ds, err := Run(context.Background(), chaosConfig())
+	ds, err := NewEnv(chaosConfig()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestChaosNoLostOrDuplicatedRecords(t *testing.T) {
 func TestChaosWhollyFailedCountry(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.FaultProfile = "flap=1.0"
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("run aborted instead of degrading: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestChaosWhollyFailedCountry(t *testing.T) {
 func TestChaosEgressFlapRecovery(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.FaultProfile = "flap=0.5"
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestChaosPromptCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := Run(ctx, cfg)
+		_, err := NewEnv(cfg).Run(ctx)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -300,7 +300,7 @@ func TestChaosPromptCancellation(t *testing.T) {
 func TestChaosRetryBudgetBounds(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.RetryBudget = 10
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestChaosRetryBudgetBounds(t *testing.T) {
 func TestCleanRunHasEmptyTaxonomy(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.FaultProfile = "off"
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestCleanRunHasEmptyTaxonomy(t *testing.T) {
 func TestChaosBadProfileRejected(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.FaultProfile = "timeout=2.0"
-	if _, err := Run(context.Background(), cfg); err == nil {
+	if _, err := NewEnv(cfg).Run(context.Background()); err == nil {
 		t.Fatal("bad fault profile accepted")
 	}
 }

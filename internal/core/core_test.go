@@ -29,7 +29,7 @@ func runSubset(t testing.TB, cfg Config) *dataset.Dataset {
 	if len(cfg.Countries) == 0 {
 		cfg.Countries = []string{"US", "MX", "DE", "UY", "IN", "JP", "NG", "EG", "FR"}
 	}
-	ds, err := Run(context.Background(), cfg)
+	ds, err := NewEnv(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestPipelineSANDiscovery(t *testing.T) {
 	if ds.MethodSAN == 0 {
 		t.Fatal("no SAN-discovered URLs; the Table 1 third step never fired")
 	}
-	off, err := Run(context.Background(), Config{Scale: 0.05, DisableSAN: true,
-		Countries: []string{"US", "MX", "DE", "UY", "IN", "JP", "NG", "EG", "FR"}})
+	off, err := NewEnv(Config{Scale: 0.05, DisableSAN: true,
+		Countries: []string{"US", "MX", "DE", "UY", "IN", "JP", "NG", "EG", "FR"}}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestRunGoroutineCountBoundedByBudget(t *testing.T) {
 func TestRunCancellationAbandonsQueuedCountries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Config{Scale: 0.02, Countries: []string{"US", "MX", "DE", "UY"}})
+	_, err := NewEnv(Config{Scale: 0.02, Countries: []string{"US", "MX", "DE", "UY"}}).Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -18,7 +18,7 @@ func TestResumeOfCompleteCheckpointBuildsNoCountry(t *testing.T) {
 	dir := t.TempDir()
 	full := cfg
 	full.CheckpointDir = dir
-	if _, err := Run(context.Background(), full); err != nil {
+	if _, err := NewEnv(full).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

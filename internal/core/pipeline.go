@@ -25,12 +25,6 @@ import (
 	"repro/internal/world"
 )
 
-// Run executes the full study and returns the annotated dataset.
-func Run(ctx context.Context, cfg Config) (*dataset.Dataset, error) {
-	env := NewEnv(cfg)
-	return env.Run(ctx)
-}
-
 // Run executes the pipeline against an already-built environment.
 //
 // One study-wide scheduler owns every fetch/annotate task: a bounded

@@ -187,7 +187,7 @@ func TestResumeCompletedRun(t *testing.T) {
 	dir := t.TempDir()
 	full := cfg
 	full.CheckpointDir = dir
-	if _, err := Run(context.Background(), full); err != nil {
+	if _, err := NewEnv(full).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	jsonl, _, det := resumeRun(t, cfg, dir)
@@ -205,10 +205,10 @@ func TestCheckpointDirRefusedWithoutResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := chaosConfig()
 	cfg.CheckpointDir = dir
-	if _, err := Run(context.Background(), cfg); err != nil {
+	if _, err := NewEnv(cfg).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(context.Background(), cfg)
+	_, err := NewEnv(cfg).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "already holds a run") {
 		t.Fatalf("reuse without resume: err = %v", err)
 	}
@@ -224,7 +224,7 @@ func TestResumeManifestMismatch(t *testing.T) {
 	cfg.Seed = 99
 	cfg.CheckpointDir = dir
 	cfg.Resume = true
-	_, err := Run(context.Background(), cfg)
+	_, err := NewEnv(cfg).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("mismatched resume: err = %v", err)
 	}

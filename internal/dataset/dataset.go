@@ -230,37 +230,3 @@ func sameServing(a, b *URLRecord) bool {
 	return a.Host == b.Host && a.IP == b.IP && a.ASN == b.ASN &&
 		a.GovAS == b.GovAS && a.Anycast == b.Anycast && a.ServeCountry == b.ServeCountry
 }
-
-// CountriesWithRecords returns the sorted country codes present in the
-// government records.
-func (d *Dataset) CountriesWithRecords() []string {
-	set := map[string]bool{}
-	for i := range d.Records {
-		set[d.Records[i].Country] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByCountry groups record indexes per country.
-func (d *Dataset) ByCountry() map[string][]*URLRecord {
-	out := make(map[string][]*URLRecord)
-	for i := range d.Records {
-		r := &d.Records[i]
-		out[r.Country] = append(out[r.Country], r)
-	}
-	return out
-}
-
-// TotalBytes sums the byte volume of the government records.
-func (d *Dataset) TotalBytes() int64 {
-	var total int64
-	for i := range d.Records {
-		total += d.Records[i].Bytes
-	}
-	return total
-}

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"testing"
-
-	"repro/internal/world"
 )
 
 func TestRecordPredicates(t *testing.T) {
@@ -25,31 +23,6 @@ func TestRecordPredicates(t *testing.T) {
 	r.RegCountry = ""
 	if r.RegDomestic() {
 		t.Fatal("missing registration must not count as domestic")
-	}
-}
-
-func TestDatasetHelpers(t *testing.T) {
-	ds := &Dataset{}
-	ds.Records = append(ds.Records,
-		URLRecord{URL: "https://a.uy/1", Country: "UY", Bytes: 10, Region: world.LAC},
-		URLRecord{URL: "https://a.uy/2", Country: "UY", Bytes: 20, Region: world.LAC},
-		URLRecord{URL: "https://b.de/1", Country: "DE", Bytes: 5, Region: world.ECA},
-	)
-	if got := ds.TotalBytes(); got != 35 {
-		t.Fatalf("TotalBytes = %d", got)
-	}
-	codes := ds.CountriesWithRecords()
-	if len(codes) != 2 || codes[0] != "DE" || codes[1] != "UY" {
-		t.Fatalf("CountriesWithRecords = %v", codes)
-	}
-	by := ds.ByCountry()
-	if len(by["UY"]) != 2 || len(by["DE"]) != 1 {
-		t.Fatalf("ByCountry = %v", by)
-	}
-	// ByCountry returns pointers into Records, not copies.
-	by["UY"][0].Bytes = 99
-	if ds.Records[0].Bytes != 99 {
-		t.Fatal("ByCountry must alias the records")
 	}
 }
 

@@ -209,7 +209,7 @@ func TestZoneFileRoundTrip(t *testing.T) {
 	if err := z.WriteZoneFile(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := ParseZoneFile(&buf)
+	reloaded, err := parseZoneFile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,12 @@ func TestParseZoneFileRejectsGarbage(t *testing.T) {
 		"bad ptr owner": "name.example. 300 IN PTR target.example.\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseZoneFile(strings.NewReader(in)); err == nil {
+		if _, err := parseZoneFile(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Comments and blank lines are fine.
-	z, err := ParseZoneFile(strings.NewReader("; comment\n\nx.example. 60 IN A 192.0.2.1\n"))
+	z, err := parseZoneFile(strings.NewReader("; comment\n\nx.example. 60 IN A 192.0.2.1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/world"
@@ -139,11 +140,12 @@ func TestAnalysesSurviveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TotalBytes() != ds.TotalBytes() {
-		t.Fatal("byte totals differ after round trip")
+	orig, again := analysis.BuildIndexWorkers(ds, 1), analysis.BuildIndexWorkers(got, 1)
+	if orig.GlobalShares() != again.GlobalShares() {
+		t.Fatal("global shares or byte totals differ after round trip")
 	}
-	if !reflect.DeepEqual(got.CountriesWithRecords(), ds.CountriesWithRecords()) {
-		t.Fatal("country sets differ after round trip")
+	if !reflect.DeepEqual(orig.CountryShares(), again.CountryShares()) {
+		t.Fatal("country sets or shares differ after round trip")
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package har models the HTTP-Archive-style capture the crawler
 // produces (§3.2): one entry per fetched resource with the fields the
-// downstream pipeline needs. It reads and writes a compact JSON
-// encoding so crawl results can be persisted and replayed.
+// downstream pipeline needs. It writes a compact JSON encoding so
+// crawl results can be persisted.
 package har
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/url"
 	"sort"
@@ -59,20 +58,6 @@ func (a *Archive) Hosts() []string {
 	return out
 }
 
-// URLs returns the sorted set of distinct URLs.
-func (a *Archive) URLs() []string {
-	set := make(map[string]bool)
-	for _, e := range a.Entries {
-		set[e.URL] = true
-	}
-	out := make([]string, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FailureCounts tallies entries per failure bucket; clean entries are
 // not counted. The map is freshly allocated.
 func (a *Archive) FailureCounts() map[string]int {
@@ -98,16 +83,6 @@ func (a *Archive) TotalBytes() int64 {
 func (a *Archive) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(a)
-}
-
-// ReadJSON parses an archive from JSON.
-func ReadJSON(r io.Reader) (*Archive, error) {
-	var a Archive
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("har: decode: %w", err)
-	}
-	return &a, nil
 }
 
 // HostOf extracts the hostname of a URL, or "" when unparseable.

@@ -84,6 +84,7 @@ func Descriptors() []Descriptor {
 	}
 	out = append(out,
 		Descriptor{Name: taintRuleName, Doc: taintRuleDoc},
+		Descriptor{Name: testOnlyRuleName, Doc: testOnlyRuleDoc},
 		Descriptor{Name: "bad-ignore", Doc: "a //lint:ignore directive must name rules and carry a '-- reason'"},
 		Descriptor{Name: "stale-ignore", Doc: "every //lint:ignore must suppress a live finding or bar live taint; stale directives must be deleted"},
 		Descriptor{Name: "stale-deterministic-tag", Doc: "a //lint:deterministic tag must not duplicate another tag or the central deterministicPkgs list"},
@@ -271,6 +272,7 @@ func (r *Runner) Finish() {
 	sums := buildSummaries(r.Loader)
 	propagate(sums)
 	r.reportTaint(sums)
+	r.reportTestOnly()
 	r.auditSuppressions()
 }
 

@@ -12,9 +12,10 @@ import (
 	"repro/internal/fetch"
 )
 
-// fixtureDirs lists the fixture packages under testdata/src in stable
-// order.
-func fixtureDirs(t *testing.T) []string {
+// fixtureTrees lists the fixtures under testdata/src in stable order.
+// A fixture is a directory tree: its root package plus any packages
+// nested below it.
+func fixtureTrees(t *testing.T) []string {
 	t.Helper()
 	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
 	if err != nil {
@@ -25,6 +26,26 @@ func fixtureDirs(t *testing.T) []string {
 	}
 	sort.Strings(dirs)
 	return dirs
+}
+
+// treePackages lists every package directory of one fixture tree.
+func treePackages(t *testing.T, tree string) []string {
+	t.Helper()
+	dirs, err := packageDirs(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// fixtureDirs lists every package of every fixture, in stable order.
+func fixtureDirs(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, tree := range fixtureTrees(t) {
+		out = append(out, treePackages(t, tree)...)
+	}
+	return out
 }
 
 // want is one expected diagnostic, parsed from a fixture comment of the
@@ -41,13 +62,17 @@ type want struct {
 
 var badIgnoreWant = regexp.MustCompile(`^bad-ignore: malformed`)
 
-// parseWants scans a fixture directory: file base name → line → wants.
-func parseWants(t *testing.T, dir string) map[string]map[int][]*want {
+// parseWants scans a fixture tree: file base name → line → wants.
+func parseWants(t *testing.T, tree string) map[string]map[int][]*want {
 	t.Helper()
 	out := map[string]map[int][]*want{}
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		t.Fatal(err)
+	var files []string
+	for _, dir := range treePackages(t, tree) {
+		matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
 	}
 	const marker = "// want `"
 	for _, file := range files {
@@ -83,13 +108,13 @@ func parseWants(t *testing.T, dir string) map[string]map[int][]*want {
 // and every fixture must keep govlint red (the suppressed instances
 // alone must not make it green).
 func TestFixtures(t *testing.T) {
-	for _, dir := range fixtureDirs(t) {
+	for _, dir := range fixtureTrees(t) {
 		t.Run(filepath.Base(dir), func(t *testing.T) {
 			runner, err := NewRunner(".")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := runner.CheckDir(dir); err != nil {
+			if err := runner.CheckDirs(treePackages(t, dir), 1); err != nil {
 				t.Fatal(err)
 			}
 			diags := runner.Diagnostics()

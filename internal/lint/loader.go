@@ -326,8 +326,14 @@ func moduleImports(l *Loader, files []*ast.File) []string {
 // order, skipping testdata, hidden directories and dependency-free
 // zones that hold no Go files.
 func (l *Loader) ModuleDirs() ([]string, error) {
+	return packageDirs(l.ModRoot)
+}
+
+// packageDirs returns every package directory under root in sorted
+// order, by ModuleDirs' rules.
+func packageDirs(root string) ([]string, error) {
 	var dirs []string
-	err := filepath.WalkDir(l.ModRoot, func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -335,7 +341,7 @@ func (l *Loader) ModuleDirs() ([]string, error) {
 			return nil
 		}
 		base := filepath.Base(p)
-		if p != l.ModRoot && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
+		if p != root && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
 			return filepath.SkipDir
 		}
 		hasGo := false

@@ -118,9 +118,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[len(histBounds)].Add(1)
 }
 
-// Count reads how many durations were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // snapshot freezes the histogram.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
@@ -164,16 +161,6 @@ func (v *Vec) counter(label string) *Counter {
 		v.m[label] = c
 	}
 	return c
-}
-
-// Load reads one label's count (0 when the label never fired).
-func (v *Vec) Load(label string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.m[label]; c != nil {
-		return c.Load()
-	}
-	return 0
 }
 
 // snapshot copies the vec into a plain map.

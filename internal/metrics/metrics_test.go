@@ -112,14 +112,14 @@ func TestVec(t *testing.T) {
 	if snap := v.snapshot(); snap != nil {
 		t.Errorf("empty vec snapshot = %v, want nil", snap)
 	}
-	if got := v.Load("missing"); got != 0 {
-		t.Errorf("Load(missing) = %d, want 0", got)
+	if got := v.snapshot()["missing"]; got != 0 {
+		t.Errorf("missing = %d, want 0", got)
 	}
 	v.Add("timeout", 2)
 	v.Add("reset", 1)
 	v.Add("timeout", 1)
-	if got := v.Load("timeout"); got != 3 {
-		t.Errorf("Load(timeout) = %d, want 3", got)
+	if got := v.snapshot()["timeout"]; got != 3 {
+		t.Errorf("timeout = %d, want 3", got)
 	}
 	snap := v.snapshot()
 	if len(snap) != 2 || snap["timeout"] != 3 || snap["reset"] != 1 {

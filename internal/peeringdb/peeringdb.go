@@ -5,11 +5,7 @@
 // "U.S. Dept. of Health and Human Services").
 package peeringdb
 
-import (
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Record is one PeeringDB network entry.
 type Record struct {
@@ -55,23 +51,4 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.byAS)
-}
-
-// SearchText returns records whose name, org or note contains the
-// query (case-insensitive), sorted by ASN — a convenience mirroring
-// PeeringDB's search box.
-func (s *Store) SearchText(query string) []Record {
-	q := strings.ToLower(query)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Record
-	for _, r := range s.byAS {
-		if strings.Contains(strings.ToLower(r.Name), q) ||
-			strings.Contains(strings.ToLower(r.Org), q) ||
-			strings.Contains(strings.ToLower(r.Note), q) {
-			out = append(out, *r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
 }

@@ -28,21 +28,3 @@ func TestGetReturnsCopy(t *testing.T) {
 		t.Fatal("Get leaked internal state")
 	}
 }
-
-func TestSearchText(t *testing.T) {
-	s := NewStore()
-	s.Add(Record{ASN: 2, Org: "Ministry of Health of Chile", Note: ""})
-	s.Add(Record{ASN: 3, Org: "NetHost Chile 1", Note: "Commercial"})
-	s.Add(Record{ASN: 1, Org: "Telecom", Note: "State-owned operator"})
-	got := s.SearchText("state-owned")
-	if len(got) != 1 || got[0].ASN != 1 {
-		t.Fatalf("search = %+v", got)
-	}
-	got = s.SearchText("chile")
-	if len(got) != 2 || got[0].ASN != 2 || got[1].ASN != 3 {
-		t.Fatalf("search must be ASN-sorted: %+v", got)
-	}
-	if len(s.SearchText("nomatch-xyz")) != 0 {
-		t.Fatal("bogus query matched")
-	}
-}

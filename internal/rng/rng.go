@@ -50,14 +50,6 @@ func Pick(r *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
-// Shuffled returns a shuffled copy of items using r.
-func Shuffled[T any](r *rand.Rand, items []T) []T {
-	out := make([]T, len(items))
-	copy(out, items)
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
 // LogNormal draws a log-normally distributed value with the given
 // location mu and scale sigma (parameters of the underlying normal).
 func LogNormal(r *rand.Rand, mu, sigma float64) float64 {

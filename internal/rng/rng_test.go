@@ -72,30 +72,6 @@ func TestPickInBoundsQuick(t *testing.T) {
 	}
 }
 
-func TestShuffledPreservesElements(t *testing.T) {
-	r := New(3, "shuffle")
-	in := []int{1, 2, 3, 4, 5, 6, 7}
-	out := Shuffled(r, in)
-	if len(out) != len(in) {
-		t.Fatalf("length changed: %d -> %d", len(in), len(out))
-	}
-	seen := map[int]bool{}
-	for _, v := range out {
-		seen[v] = true
-	}
-	for _, v := range in {
-		if !seen[v] {
-			t.Fatalf("element %d lost in shuffle", v)
-		}
-	}
-	// Input must not be mutated.
-	for i, v := range []int{1, 2, 3, 4, 5, 6, 7} {
-		if in[i] != v {
-			t.Fatal("Shuffled mutated its input")
-		}
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	r := New(11, "lognormal")
 	for i := 0; i < 1000; i++ {

@@ -83,6 +83,8 @@ func (m *Memo[K, V]) Len() int {
 // Waiting reports how many Do calls are blocked on another caller's
 // fn right now. Tests use it to hold a computation open until every
 // concurrent caller has coalesced onto it.
+//
+//lint:ignore test-only-export -- core's TestRescacheSingleFlight and serve's TestCacheCoalesceUnderStampede wait on it for every caller to coalesce
 func (m *Memo[K, V]) Waiting() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -13,7 +13,8 @@ import (
 // task, the depth gauge returns to zero once the queue drains, and a
 // cancelled submit leaves no residue.
 func TestSubmitAccountsQueueDepth(t *testing.T) {
-	m := &metrics.SchedMetrics{}
+	reg := metrics.New()
+	m := &reg.Sched
 	p := NewPool(2)
 	defer p.Close()
 	p.SetMetrics(m)
@@ -30,7 +31,7 @@ func TestSubmitAccountsQueueDepth(t *testing.T) {
 	if got := m.TasksSubmitted.Load(); got != tasks {
 		t.Errorf("TasksSubmitted = %d, want %d", got, tasks)
 	}
-	if got := m.QueueWait.Count(); got != tasks {
+	if got := reg.Snapshot().Runtime.Sched.QueueWait.Count; got != tasks {
 		t.Errorf("QueueWait observations = %d, want %d", got, tasks)
 	}
 	if got := m.QueueDepth.Value(); got != 0 {
@@ -44,7 +45,7 @@ func TestSubmitAccountsQueueDepth(t *testing.T) {
 	// and its buffer first so the send genuinely blocks.
 	release := make(chan struct{})
 	accepted := 0
-	for i := 0; i < p.Workers()*2; i++ {
+	for i := 0; i < p.workers*2; i++ {
 		if p.Submit(context.Background(), func() { <-release }) {
 			accepted++
 		}
@@ -65,7 +66,8 @@ func TestSubmitAccountsQueueDepth(t *testing.T) {
 // that are genuinely concurrent.
 func TestWorkersBusyHighWater(t *testing.T) {
 	const workers = 4
-	m := &metrics.SchedMetrics{}
+	reg := metrics.New()
+	m := &reg.Sched
 	p := NewPool(workers)
 	defer p.Close()
 	p.SetMetrics(m)
@@ -96,7 +98,8 @@ func TestWorkersBusyHighWater(t *testing.T) {
 // TestSetMetricsNilDetaches: a pool must run fine with metrics
 // detached mid-flight — recording is strictly optional.
 func TestSetMetricsNilDetaches(t *testing.T) {
-	m := &metrics.SchedMetrics{}
+	reg := metrics.New()
+	m := &reg.Sched
 	p := NewPool(2)
 	defer p.Close()
 	p.SetMetrics(m)

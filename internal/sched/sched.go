@@ -61,18 +61,10 @@ func (b *Budget) Acquire() bool {
 		return true
 	}
 	if b.remaining.Add(-1) < 0 {
-		b.remaining.Add(1) // leave the floor at zero for Remaining
+		b.remaining.Add(1) // keep the floor at zero
 		return false
 	}
 	return true
-}
-
-// Remaining reports the unconsumed tokens (negative means unlimited).
-func (b *Budget) Remaining() int64 {
-	if b.unlimited {
-		return -1
-	}
-	return b.remaining.Load()
 }
 
 // SetRetryBudget attaches the study-wide retry budget. Call it before
@@ -197,11 +189,6 @@ func (p *Pool) Do(ctx context.Context, fn func()) bool {
 	}
 	<-done
 	return true
-}
-
-// Workers reports the pool's worker budget.
-func (p *Pool) Workers() int {
-	return p.workers
 }
 
 // Close stops the workers after the already-accepted tasks finish and

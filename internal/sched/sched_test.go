@@ -98,8 +98,8 @@ func TestPoolGoroutineCountMatchesBudget(t *testing.T) {
 	if got := runtime.NumGoroutine() - before; got > 16 {
 		t.Fatalf("pool spawned %d goroutines for a budget of 16", got)
 	}
-	if p.Workers() != 16 {
-		t.Fatalf("Workers() = %d, want 16", p.Workers())
+	if p.workers != 16 {
+		t.Fatalf("workers = %d, want 16", p.workers)
 	}
 	p.Close()
 	deadline := time.Now().Add(2 * time.Second)
@@ -114,8 +114,8 @@ func TestPoolGoroutineCountMatchesBudget(t *testing.T) {
 func TestPoolClampsNonPositiveWorkers(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()
-	if p.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1 (clamped)", p.Workers())
+	if p.workers != 1 {
+		t.Fatalf("workers = %d, want 1 (clamped)", p.workers)
 	}
 	done := make(chan struct{})
 	p.Submit(context.Background(), func() { close(done) })
@@ -154,8 +154,8 @@ func TestBudgetCountsDown(t *testing.T) {
 	if b.Acquire() {
 		t.Fatal("Acquire succeeded past the budget")
 	}
-	if b.Remaining() != 0 {
-		t.Errorf("Remaining() = %d after exhaustion, want 0", b.Remaining())
+	if got := b.remaining.Load(); got != 0 {
+		t.Errorf("remaining = %d after exhaustion, want 0", got)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestBudgetUnlimitedAndNil(t *testing.T) {
 			t.Fatal("unlimited budget denied")
 		}
 	}
-	if u.Remaining() != -1 {
-		t.Errorf("unlimited Remaining() = %d, want -1", u.Remaining())
+	if !u.unlimited {
+		t.Error("NewBudget(-1) is not unlimited")
 	}
 	var nb *Budget
 	if !nb.Acquire() {
@@ -197,8 +197,8 @@ func TestBudgetConcurrent(t *testing.T) {
 	if granted.Load() != tokens {
 		t.Errorf("granted %d of %d tokens", granted.Load(), tokens)
 	}
-	if b.Remaining() != 0 {
-		t.Errorf("Remaining=%d after exhaustion", b.Remaining())
+	if got := b.remaining.Load(); got != 0 {
+		t.Errorf("remaining=%d after exhaustion", got)
 	}
 }
 

@@ -41,7 +41,7 @@ func get(t *testing.T, base, path, inm string) (*http.Response, []byte) {
 func TestETagOnSuccess(t *testing.T) {
 	snap := newTestSnapshot(t, 1, 64)
 	srv := New(Config{Snapshot: snap, Workers: 4})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	resp, body := get(t, ts.URL, "/api/fig2", "")
@@ -78,7 +78,7 @@ func TestConditionalRequestRoundTrip(t *testing.T) {
 	snap := newTestSnapshot(t, 2, 64)
 	reg := &metrics.Registry{}
 	srv := New(Config{Snapshot: snap, Workers: 4, Registry: reg})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	resp, full := get(t, ts.URL, "/api/fig5", "")
@@ -125,7 +125,7 @@ func TestConditionalRequestRoundTrip(t *testing.T) {
 		t.Fatalf("NotModified = %d, want 4", nm)
 	}
 	// The 304s were still requests; the per-endpoint count covers them.
-	if reqs := reg.Serve.Requests.Load("fig5"); reqs != 6 {
+	if reqs := reg.Snapshot().Runtime.Serve.Requests["fig5"]; reqs != 6 {
 		t.Fatalf("Requests[fig5] = %d, want 6", reqs)
 	}
 }
@@ -138,7 +138,7 @@ func TestConditionalRequestAcrossReload(t *testing.T) {
 	snapA := newTestSnapshot(t, 1, 48)
 	snapB := newTestSnapshot(t, 2, 48)
 	srv := New(Config{Snapshot: snapA, Workers: 4, Reloader: flipReloader(snapA, snapB)})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	resp, bodyA := get(t, ts.URL, "/api/table5", "")
@@ -183,7 +183,7 @@ func TestConditionalRequestAcrossReload(t *testing.T) {
 func TestNoETagOnErrors(t *testing.T) {
 	snap := newTestSnapshot(t, 3, 32)
 	srv := New(Config{Snapshot: snap, Workers: 4})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	for _, path := range []string{

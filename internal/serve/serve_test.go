@@ -324,7 +324,7 @@ func TestChaosReloadUnderLoad(t *testing.T) {
 	snapA := newTestSnapshot(t, 1, 96)
 	snapB := newTestSnapshot(t, 2, 96)
 	srv := New(Config{Snapshot: snapA, Workers: 8, Reloader: flipReloader(snapA, snapB)})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	// Expected bodies per version, from fresh identical snapshots so
@@ -406,7 +406,7 @@ func TestChaosReloadUnderLoad(t *testing.T) {
 	if want, _ := final.Render("fig2", q); !bytes.Equal(body, want) {
 		t.Fatal("after final swap: body does not match the final snapshot")
 	}
-	if reloads := srv.Registry().Serve.Reloads.Load(); reloads != 21 {
+	if reloads := srv.reg.Serve.Reloads.Load(); reloads != 21 {
 		t.Fatalf("reload counter = %d, want 21", reloads)
 	}
 }
@@ -439,7 +439,7 @@ func TestReloadGuards(t *testing.T) {
 		return newTestSnapshot(t, 2, 32), nil
 	}
 	srv := New(Config{Snapshot: snapA, Reloader: reloader})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	post := func(query string) (int, errorEnvelope) {
@@ -491,7 +491,7 @@ func TestReloadGuards(t *testing.T) {
 	if v := res.Header.Get("X-Dataset-Version"); v != snapA.Version() {
 		t.Fatalf("old snapshot gone: serving %q, want %q", v, snapA.Version())
 	}
-	if fails := srv.Registry().Serve.ReloadFailures.Load(); fails != 2 {
+	if fails := srv.reg.Serve.ReloadFailures.Load(); fails != 2 {
 		t.Fatalf("reload failures = %d, want 2 (param errors never reach the reloader)", fails)
 	}
 }
@@ -502,7 +502,7 @@ func TestReloadGuards(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	snap := newTestSnapshot(t, 1, 64)
 	srv := New(Config{Snapshot: snap, Workers: 2})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	res, err := http.Get(ts.URL + "/api/fig5")

@@ -87,16 +87,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler exposes the daemon's routes, for tests that mount the
-// server without a listener.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Snapshot returns the currently serving generation.
-func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
-
-// Registry returns the server's metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
 // Serve accepts connections on ln until Shutdown. It reports nil on a
 // clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {

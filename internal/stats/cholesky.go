@@ -5,10 +5,9 @@ import "math"
 // This file is the Cholesky path behind OLS and VIF (Fig. 12,
 // Table 7). The normal-equations Gram matrix G = [1 X]ᵀ[1 X] is
 // symmetric positive definite whenever the design has full column
-// rank, so one in-place Cholesky factorization replaces the
-// Gauss–Jordan Matrix.Inverse on the hot path: β comes from two
-// triangular substitutions and the standard errors from the diagonal
-// of G⁻¹ recovered column-by-column from L⁻¹. Everything works on one
+// rank, so one in-place Cholesky factorization is the whole solve: β
+// comes from two triangular substitutions and the standard errors
+// from the diagonal of G⁻¹ recovered column-by-column from L⁻¹. Everything works on one
 // flat scratch block; nothing here materializes the design matrix or
 // its transpose.
 
@@ -40,7 +39,7 @@ func normalEquations(y []float64, X *Matrix, g, xty []float64) {
 
 // cholesky factors the SPD matrix in g (k×k row-major, lower triangle
 // populated) in place into its lower-triangular Cholesky factor L.
-// A pivot at or below the Gauss–Jordan tolerance reports ErrSingular.
+// A pivot at or below 1e-12 reports ErrSingular.
 func cholesky(g []float64, k int) error {
 	for j := 0; j < k; j++ {
 		d := g[j*k+j]

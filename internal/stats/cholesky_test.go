@@ -23,9 +23,8 @@ func olsFixture() ([]float64, *Matrix, []string) {
 }
 
 // TestOLSMatchesInverseBasedSolve pins the Cholesky solve to the
-// retired Gauss–Jordan path: β = (DᵀD)⁻¹Dᵀy computed with the
-// still-exported Matrix primitives must agree with OLS to round-off,
-// and so must the standard errors via the inverse diagonal.
+// Gauss–Jordan reference: β = (DᵀD)⁻¹Dᵀy must agree with OLS to
+// round-off, and so must the standard errors via the inverse diagonal.
 func TestOLSMatchesInverseBasedSolve(t *testing.T) {
 	y, X, names := olsFixture()
 	res, err := OLS(y, X, names)
@@ -41,20 +40,20 @@ func TestOLSMatchesInverseBasedSolve(t *testing.T) {
 			d.Set(i, j+1, X.At(i, j))
 		}
 	}
-	dt := d.T()
-	xtx, err := dt.Mul(d)
+	dt := transpose(d)
+	xtx, err := mul(dt, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := xtx.Inverse()
+	inv, err := inverse(xtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xty, err := dt.MulVec(y)
+	xty, err := mulVec(dt, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := inv.MulVec(xty)
+	beta, err := mulVec(inv, xty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestOLSMatchesInverseBasedSolve(t *testing.T) {
 	}
 	// Standard errors against sigma² · diag((DᵀD)⁻¹).
 	var rss float64
-	fitted, _ := d.MulVec(beta)
+	fitted, _ := mulVec(d, beta)
 	for i := range y {
 		e := y[i] - fitted[i]
 		rss += e * e

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // Matrix is a dense row-major float64 matrix.
 type Matrix struct {
@@ -23,116 +19,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m · b. The i-k-j loop order walks b and out along
-// their rows; hoisting both row slices out of the inner loop keeps
-// the accesses sequential and bounds-check-free.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("stats: dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for k, v := range mrow {
-			if v == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += v * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m · v for a column vector v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("stats: dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for j := 0; j < m.Cols; j++ {
-			s += m.At(i, j) * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// ErrSingular reports a non-invertible matrix.
+// ErrSingular reports a rank-deficient design: a non-positive pivot
+// in the Cholesky factorization behind OLS and VIF.
 var ErrSingular = errors.New("stats: singular matrix")
-
-// Inverse computes the inverse via Gauss-Jordan elimination with
-// partial pivoting.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("stats: cannot invert %dx%d matrix", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	// Augmented [A | I].
-	a := NewMatrix(n, 2*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, m.At(i, j))
-		}
-		a.Set(i, n+i, 1)
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		best := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < 1e-12 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := 0; j < 2*n; j++ {
-				tmp := a.At(col, j)
-				a.Set(col, j, a.At(pivot, j))
-				a.Set(pivot, j, tmp)
-			}
-		}
-		pv := a.At(col, col)
-		for j := 0; j < 2*n; j++ {
-			a.Set(col, j, a.At(col, j)/pv)
-		}
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 2*n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-			}
-		}
-	}
-	inv := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			inv.Set(i, j, a.At(i, n+j))
-		}
-	}
-	return inv, nil
-}

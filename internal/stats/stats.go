@@ -170,9 +170,9 @@ type OLSResult struct {
 // The solve runs on the normal equations: G = [1 X]ᵀ[1 X] is SPD for
 // a full-rank design, so a single in-place Cholesky factorization
 // yields β by triangular substitution and the standard errors from
-// the diagonal of G⁻¹ — no design matrix, no transpose, no
-// Gauss–Jordan inverse. A rank-deficient design reports ErrSingular,
-// as the inverse-based path did.
+// the diagonal of G⁻¹, without materializing the design matrix, its
+// transpose or an explicit inverse. A rank-deficient design, one whose
+// factorization meets a pivot at or below 1e-12, reports ErrSingular.
 func OLS(y []float64, X *Matrix, names []string) (*OLSResult, error) {
 	n := len(y)
 	if X.Rows != n {

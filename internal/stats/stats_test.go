@@ -110,11 +110,11 @@ func TestMatrixInverseIdentityQuick(t *testing.T) {
 			}
 			m.Set(i, i, m.At(i, i)+float64(n)) // diagonally dominant → invertible
 		}
-		inv, err := m.Inverse()
+		inv, err := inverse(m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		prod, err := m.Mul(inv)
+		prod, err := mul(m, inv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,17 +138,17 @@ func TestMatrixInverseSingular(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 4)
-	if _, err := m.Inverse(); err == nil {
+	if _, err := inverse(m); err == nil {
 		t.Fatal("singular matrix inverted")
 	}
 }
 
 func TestMatrixMulDimensionCheck(t *testing.T) {
 	a, b := NewMatrix(2, 3), NewMatrix(2, 3)
-	if _, err := a.Mul(b); err == nil {
+	if _, err := mul(a, b); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if _, err := a.MulVec([]float64{1, 2}); err == nil {
+	if _, err := mulVec(a, []float64{1, 2}); err == nil {
 		t.Fatal("vector dimension mismatch accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestMatrixMulDimensionCheck(t *testing.T) {
 func TestMatrixTranspose(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 2, 7)
-	tr := m.T()
+	tr := transpose(m)
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 0) != 7 {
 		t.Fatalf("transpose wrong: %+v", tr)
 	}

@@ -97,32 +97,12 @@ func (s *Store) Len() int {
 	return len(s.certs)
 }
 
-// Subjects returns all certificate subjects in sorted order.
-func (s *Store) Subjects() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.subjects()
-}
-
 func (s *Store) subjects() []string {
 	out := make([]string, 0, len(s.certs))
 	for k := range s.certs {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// SANUniverse returns the set of every hostname that appears in any
-// SAN list, mapped to the subject Get would answer with; the §3.3
-// SAN-matching step checks internal hostnames against this set.
-func (s *Store) SANUniverse() map[string]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]string, len(s.bySAN))
-	for san, c := range s.bySAN {
-		out[san] = c.Subject
-	}
 	return out
 }
 
@@ -147,14 +127,4 @@ func SelfSign(c *Certificate, notBefore time.Time) (tls.Certificate, error) {
 		return tls.Certificate{}, fmt.Errorf("tlssim: certificate creation: %w", err)
 	}
 	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
-}
-
-// ParseSANs extracts the DNS SANs from a real x509 certificate,
-// mirroring what the measurement pipeline reads off a TLS handshake.
-func ParseSANs(der []byte) ([]string, error) {
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
-	}
-	return cert.DNSNames, nil
 }

@@ -30,19 +30,18 @@ func TestSANUniverse(t *testing.T) {
 	s := NewStore()
 	s.Put(&Certificate{Subject: "a.gov", SANs: []string{"a.gov", "affiliate.com"}})
 	s.Put(&Certificate{Subject: "b.gov", SANs: []string{"b.gov"}})
-	u := s.SANUniverse()
-	if u["affiliate.com"] != "a.gov" {
-		t.Fatalf("SAN universe missing affiliate.com: %v", u)
+	if c := s.bySAN["affiliate.com"]; c == nil || c.Subject != "a.gov" {
+		t.Fatalf("SAN index missing affiliate.com: %v", s.bySAN)
 	}
-	if len(u) != 3 {
-		t.Fatalf("SAN universe size = %d, want 3", len(u))
+	if len(s.bySAN) != 3 {
+		t.Fatalf("SAN index size = %d, want 3", len(s.bySAN))
 	}
 }
 
 // TestSANLookupTieIndependentOfPutOrder: two certificates listing the
 // same SAN host (a SAN-only affiliate shared by two landing sites) must
-// answer Get and SANUniverse with the smaller subject whichever was put
-// first.
+// answer Get and the SAN index with the smaller subject whichever was
+// put first.
 func TestSANLookupTieIndependentOfPutOrder(t *testing.T) {
 	a := &Certificate{Subject: "a.gov", SANs: []string{"a.gov", "shared-affiliate.com"}}
 	b := &Certificate{Subject: "b.gov", SANs: []string{"b.gov", "shared-affiliate.com"}}
@@ -54,8 +53,8 @@ func TestSANLookupTieIndependentOfPutOrder(t *testing.T) {
 		if c := s.Get("shared-affiliate.com"); c != a {
 			t.Fatalf("put order %s,%s: Get = %v, want a.gov", order[0].Subject, order[1].Subject, c)
 		}
-		if got := s.SANUniverse()["shared-affiliate.com"]; got != "a.gov" {
-			t.Fatalf("put order %s,%s: SANUniverse = %q, want a.gov", order[0].Subject, order[1].Subject, got)
+		if got := s.bySAN["shared-affiliate.com"]; got != a {
+			t.Fatalf("put order %s,%s: SAN index = %v, want a.gov", order[0].Subject, order[1].Subject, got)
 		}
 	}
 }
@@ -79,7 +78,7 @@ func TestSubjectsSorted(t *testing.T) {
 	s := NewStore()
 	s.Put(&Certificate{Subject: "z.gov"})
 	s.Put(&Certificate{Subject: "a.gov"})
-	subj := s.Subjects()
+	subj := s.subjects()
 	if len(subj) != 2 || subj[0] != "a.gov" || subj[1] != "z.gov" {
 		t.Fatalf("Subjects = %v", subj)
 	}
@@ -95,12 +94,12 @@ func TestSelfSignRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sans, err := ParseSANs(cert.Certificate[0])
+	parsed, err := x509.ParseCertificate(cert.Certificate[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{"www.gub.uy": true, "sso.gub.uy": true, "tramites.gub.uy": true}
-	for _, s := range sans {
+	for _, s := range parsed.DNSNames {
 		delete(want, s)
 	}
 	if len(want) != 0 {

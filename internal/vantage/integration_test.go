@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"testing"
 
 	"repro/internal/crawler"
+	"repro/internal/har"
 	"repro/internal/netsim"
 	"repro/internal/vantage"
 	"repro/internal/webgen"
@@ -122,7 +124,7 @@ func TestHTTPCrawlMatchesMemCrawl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hu, mu := ha.URLs(), ma.URLs()
+	hu, mu := urlSet(ha), urlSet(ma)
 	if len(hu) != len(mu) {
 		t.Fatalf("HTTP crawl found %d URLs, mem crawl %d", len(hu), len(mu))
 	}
@@ -131,6 +133,20 @@ func TestHTTPCrawlMatchesMemCrawl(t *testing.T) {
 			t.Fatalf("URL sets diverge at %d: %s vs %s", i, hu[i], mu[i])
 		}
 	}
+}
+
+// urlSet returns the sorted distinct URLs a crawl fetched.
+func urlSet(a *har.Archive) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, e := range a.Entries {
+		if !seen[e.URL] {
+			seen[e.URL] = true
+			out = append(out, e.URL)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestVantageHTTPFetcherRewritesScheme(t *testing.T) {

@@ -196,6 +196,8 @@ func (e *Estate) BuildCountry(code string) {
 
 // BuiltCountries returns the codes of the countries whose page trees
 // are built, sorted.
+//
+//lint:ignore test-only-export -- core's TestResumeOfCompleteCheckpointBuildsNoCountry and TestShardWorkerBuildsOnlyOwnedCountries and webserve's TestCertificateForBuildsTheCountry check which page trees a run built
 func (e *Estate) BuiltCountries() []string {
 	var out []string
 	for code, b := range e.builds {

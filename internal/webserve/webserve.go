@@ -80,6 +80,8 @@ func (s *Server) Start(addr string) (string, error) {
 // estate's certificate records. The §3.3 SAN-inspection step can then
 // run against real handshakes. Returns the bound TLS address. Serve
 // failures after startup surface from Close.
+//
+//lint:ignore test-only-export -- vantage's TestSANInspectionOverTLS and TestTLSRequiresKnownSNI run the §3.3 SAN inspection over real handshakes
 func (s *Server) StartTLS(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

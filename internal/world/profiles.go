@@ -485,8 +485,9 @@ func (p *Profile) DestWeights() ([]string, []float64) {
 	return codes, ws
 }
 
-// EffectiveMixFor exposes the effective (post-carve-out) URL mix for
-// diagnostics and tests.
+// EffectiveMixFor exposes the effective (post-carve-out) URL mix.
+//
+//lint:ignore test-only-export -- webgen's TestRealizedCategoryMixTracksProfile holds a built estate's page mix to it
 func EffectiveMixFor(c *Country, p *Profile) Mix { return effectiveMix(c, p) }
 
 // ApplyTrend shifts every profile toward third-party global hosting by

@@ -38,13 +38,3 @@ func (r Region) Name() string {
 	}
 	return string(r)
 }
-
-// Valid reports whether r is one of the seven World Bank regions.
-func (r Region) Valid() bool {
-	for _, x := range Regions {
-		if r == x {
-			return true
-		}
-	}
-	return false
-}
