@@ -15,8 +15,10 @@
 // phase builds per-function taint summaries over a call graph spanning
 // all loaded packages, propagates them to a fixed point, reports
 // deterministic packages that call transitively tainted helpers with
-// the full call chain in the diagnostic (see summary.go), and finally
-// audits every suppression directive for staleness (see audit.go).
+// the full call chain in the diagnostic (see summary.go), flags
+// exported internal functions that only tests call (see
+// rule_testonly.go), and finally audits every suppression directive
+// for staleness (see audit.go).
 //
 // The engine is built exclusively on the standard library's go/ast,
 // go/parser and go/types (the module has zero dependencies and the

@@ -120,6 +120,8 @@ func (r *Runner) loadProgram(root string) *testOnlyProgram {
 				prog.refs[f.Origin()] = true
 			}
 		}
+		// The method loop is inlined: a call in a map range reads as
+		// an order leak to the taint pass.
 		for _, tv := range pkg.Info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
 				for i := 0; i < it.NumMethods(); i++ {
